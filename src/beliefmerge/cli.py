@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation, 3 resource guard.
+Exit codes: 0 success, 1 usage, 2 parse/validation (too deep a formula
+included), 3 resource guard (out of memory included).
 """
 
 from __future__ import annotations
@@ -417,6 +418,12 @@ def main(argv=None) -> int:
     except (BeliefMergeError, ValueError) as exc:
         print(f"beliefmerge: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("beliefmerge: formula nested too deeply to process", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("beliefmerge: resource guard: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

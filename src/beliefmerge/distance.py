@@ -109,7 +109,7 @@ def distances_to_bits(
         raise UnsatisfiableFormulaError(
             "distance to an unsatisfiable formula is undefined"
         )
-    return _kernels.min_mapped_distance(cand_bits, target_bits, kind.table_array(n))
+    return _kernels.min_mapped_distance(cand_bits, target_bits, kind.table_array(n), n)
 
 
 def formula_distance(

@@ -176,8 +176,9 @@ def _scheme_merge(models, vectors, scheme: WeightScheme, kind: DistanceKind, n: 
     if expanded is not None:
         selected: dict[Model, tuple[int, ...]] = {}
         for w in expanded:
+            witness = lp.integer_witness(w)
             for model in _argmin_models(models, vectors, w):
-                selected.setdefault(model, lp.integer_witness(w))
+                selected.setdefault(model, witness)
         return MergeResult(frozenset(selected), selected)
 
     # all-positive scheme: one feasibility question per distinct vector

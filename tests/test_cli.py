@@ -295,3 +295,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "merge", "--instance", str(path))
         assert code == 3
         assert "resource" in err.lower() or "guard" in err.lower()
+
+    def test_deep_formula_is_two_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        names = [f"v{i}" for i in range(12)]
+        terms = [
+            "(" + " & ".join(v if (t >> i) & 1 else f"!{v}" for i, v in enumerate(names)) + ")"
+            for t in range(1000)
+        ]
+        path.write_text(
+            json.dumps(
+                {"variables": names, "constraints": " | ".join(terms), "profile": ["v0"]}
+            )
+        )
+        code, _, err = run(capsys, "merge", "--instance", str(path), "--json")
+        assert code == 2
+        assert err.startswith("beliefmerge: ")
+        assert "Traceback" not in err
