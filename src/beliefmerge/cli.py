@@ -16,7 +16,6 @@ from .errors import (
     BeliefMergeError,
     EnumerationLimitError,
     InstanceFormatError,
-    ResourceLimitError,
 )
 from .formulae import Model, Not, Or, parse_formula
 from .geometry2d import render_svg
@@ -412,7 +411,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ResourceLimitError, EnumerationLimitError) as exc:
+    except EnumerationLimitError as exc:
         print(f"beliefmerge: resource guard: {exc}", file=sys.stderr)
         return 3
     except (BeliefMergeError, ValueError) as exc:

@@ -43,10 +43,6 @@ class InconsistentProfileError(BeliefMergeError):
         self.index = index
 
 
-class ResourceLimitError(BeliefMergeError):
-    """A configurable resource guard tripped (constraint blow-up, retries)."""
-
-
 class DegenerateLineError(BeliefMergeError):
     """A line was requested through coincident points or with (a, b) = (0, 0)."""
 

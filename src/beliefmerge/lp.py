@@ -1,211 +1,101 @@
-"""Exact feasibility of linear inequality systems over the rationals.
+"""The exact LP behind the all-positive-weights merge.
 
-Decides systems mixing strict and non-strict inequalities by
-Fourier-Motzkin elimination in exact Fraction arithmetic (floating
-point is banned here: minimality ties must be exact). Dimensions are
-tiny, so elimination beats a simplex both on simplicity and on native
-strict-inequality handling. On feasible systems a rational witness is
-recovered by back-substitution, each eliminated variable set to the
-midpoint of its feasible interval (or its single bound), which makes
-witnesses deterministic.
+A distance vector d is minimal under some strictly positive weighting
+exactly when the LP
+
+    maximise z  subject to  w.(d - o_j) <= 0  for every other vector o_j,
+                            z - w_c <= 0      for every coordinate c,
+                            sum(w) <= 1,      w, z >= 0
+
+has an optimum z* > 0. The origin is feasible, so one phase of the
+simplex suffices. Pivots are integer-preserving (Bareiss): the tableau
+holds integers over one common positive denominator, every division is
+exact, and no float or Fraction enters the loop. Bland's rule keeps the
+heavily degenerate pivots from cycling.
+
+When z* = 0, Motzkin's transposition theorem gives the other side: the
+optimal duals on the o_j rows, normalised, are a convex combination of
+other vectors that is <= d everywhere and < d somewhere. At most m of
+them are positive: a basis has m + 1 non-basic variables, and at least
+one of them is z or the slack of a z - w_c row, since the duals of
+those rows must sum to at least 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
-from .errors import ResourceLimitError
 
-DEFAULT_MAX_ROWS = 1_000_000
-
-_RELATIONS = ("<=", "<", "=")
-
-
-@dataclass(frozen=True)
-class LinConstraint:
-    """sum(coeffs[i] * x[i]) REL rhs with REL in {<=, <, =}."""
-
-    coeffs: tuple[Fraction, ...]
-    rel: str
-    rhs: Fraction
-
-    def __init__(self, coeffs: Sequence, rel: str, rhs):
-        if rel not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}, got {rel!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "rhs", Fraction(rhs))
-
-    def holds_at(self, point: Sequence[Fraction]) -> bool:
-        lhs = sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0))
-        if self.rel == "<=":
-            return lhs <= self.rhs
-        if self.rel == "<":
-            return lhs < self.rhs
-        return lhs == self.rhs
+def _pivot(rows: list[list[int]], r: int, s: int, denom: int) -> int:
+    """Exchange the basic variable of row r with the non-basic column s,
+    in place; returns the new common denominator."""
+    pivot_row = rows[r]
+    p = pivot_row[s]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[s]
+            row[:] = [(x * p - f * y) // denom for x, y in zip(row, pivot_row)]
+            row[s] = -f
+    pivot_row[s] = denom
+    return p
 
 
-@dataclass(frozen=True)
-class LinSystem:
-    dimension: int
-    constraints: tuple[LinConstraint, ...]
+def decide(
+    d: Sequence[int], others: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...] | None, dict[int, Fraction] | None]:
+    """(witness, None) when some positive integer weighting makes d
+    minimal against every vector in others, else (None, certificate).
 
-    def __init__(self, dimension: int, constraints: Sequence[LinConstraint]):
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        constraints = tuple(constraints)
-        for c in constraints:
-            if len(c.coeffs) != dimension:
-                raise ValueError(
-                    f"constraint has {len(c.coeffs)} coefficients, system dimension is {dimension}"
-                )
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "constraints", constraints)
-
-
-# Internal row form: (coeffs, rhs, strict) meaning coeffs . x < rhs if
-# strict else <= rhs. Rows are deduplicated under a canonical positive
-# scaling of the coefficient vector, keeping the tightest rhs.
-
-
-def _add_row(rows: dict, coeffs: tuple[Fraction, ...], rhs: Fraction, strict: bool) -> bool:
-    """Insert a row; returns False when the row is an unsatisfiable constant."""
-    if all(c == 0 for c in coeffs):
-        return rhs > 0 or (rhs == 0 and not strict)
-    denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    g = gcd(*ints)
-    key = tuple(v // g for v in ints)
-    scaled_rhs = rhs * denom / g
-    old = rows.get(key)
-    if old is None:
-        rows[key] = (scaled_rhs, strict)
-    else:
-        old_rhs, old_strict = old
-        if scaled_rhs < old_rhs or (scaled_rhs == old_rhs and strict and not old_strict):
-            rows[key] = (scaled_rhs, strict)
-    return True
-
-
-def feasible(
-    system: LinSystem,
-    max_rows: int = DEFAULT_MAX_ROWS,
-) -> tuple[Fraction, ...] | None:
-    """A rational point satisfying every constraint exactly, or None."""
-    dim = system.dimension
-    rows: dict = {}
-    for c in system.constraints:
-        if c.rel == "=":
-            pieces = [(c.coeffs, c.rhs, False),
-                      (tuple(-a for a in c.coeffs), -c.rhs, False)]
-        else:
-            pieces = [(c.coeffs, c.rhs, c.rel == "<")]
-        for coeffs, rhs, strict in pieces:
-            if not _add_row(rows, coeffs, rhs, strict):
-                return None
-
-    current = [
-        (tuple(Fraction(v) for v in key), rhs, strict)
-        for key, (rhs, strict) in rows.items()
-    ]
-    remaining = list(range(dim))
-    steps = []  # (var, rows touching it at elimination time)
-
-    while remaining:
-        # cheapest variable first: fewest lower x upper pairings
-        def cost(k: int) -> tuple[int, int]:
-            pos = sum(1 for co, _, _ in current if co[k] > 0)
-            neg = sum(1 for co, _, _ in current if co[k] < 0)
-            return (pos * neg, k)
-
-        k = min(remaining, key=cost)
-        remaining.remove(k)
-
-        uppers = [r for r in current if r[0][k] > 0]
-        lowers = [r for r in current if r[0][k] < 0]
-        steps.append((k, uppers + lowers))
-
-        rows = {}
-        for r in current:
-            if r[0][k] == 0 and not _add_row(rows, *r):
-                return None
-        for uc, ur, us in uppers:
-            for lc, lr, ls in lowers:
-                a, b = uc[k], lc[k]
-                coeffs = tuple(-b * cu + a * cl for cu, cl in zip(uc, lc))
-                rhs = -b * ur + a * lr
-                if not _add_row(rows, coeffs, rhs, us or ls):
-                    return None
-                if len(rows) > max_rows:
-                    raise ResourceLimitError(
-                        f"elimination exceeded {max_rows} intermediate constraints"
-                    )
-        current = [
-            (tuple(Fraction(v) for v in key), rhs, strict)
-            for key, (rhs, strict) in rows.items()
-        ]
-
-    return _back_substitute(dim, steps)
-
-
-def _back_substitute(dim: int, steps) -> tuple[Fraction, ...]:
-    values: list = [None] * dim
-    for k, bound_rows in reversed(steps):
-        lower = None  # (value, strict)
-        upper = None
-        for coeffs, rhs, strict in bound_rows:
-            a = coeffs[k]
-            rest = sum(
-                (coeffs[j] * values[j] for j in range(dim) if j != k and coeffs[j] != 0),
-                Fraction(0),
-            )
-            bound = (rhs - rest) / a
-            if a > 0:
-                if upper is None or bound < upper[0] or (bound == upper[0] and strict):
-                    upper = (bound, strict)
-            else:
-                if lower is None or bound > lower[0] or (bound == lower[0] and strict):
-                    lower = (bound, strict)
-        if lower is None and upper is None:
-            values[k] = Fraction(0)
-        elif lower is None:
-            values[k] = upper[0] - 1 if upper[1] else upper[0]
-        elif upper is None:
-            values[k] = lower[0] + 1 if lower[1] else lower[0]
-        else:
-            lo, up = lower[0], upper[0]
-            if lo == up:
-                if lower[1] or upper[1]:
-                    raise AssertionError("empty interval on a feasible system")
-                values[k] = lo
-            else:
-                values[k] = (lo + up) / 2
-    return tuple(values)
-
-
-def minimality_system(d_i: Sequence[int], others: Sequence[Sequence[int]]) -> LinSystem:
-    """Weights making d_i weakly minimal against every vector in others.
-
-    The paper-level condition is w > 0 with w.(d_i - d_j) <= 0 for all j;
-    positivity is normalized to w_i >= 1, valid because the remaining
-    constraints are homogeneous, and it leaves the system strict-free.
+    The certificate maps indices into others to convex weights, at most
+    len(d) of them, whose combination of others is <= d in every
+    coordinate and < d in at least one.
     """
-    m = len(d_i)
-    constraints = []
-    for d_j in others:
-        if len(d_j) != m:
-            raise ValueError(f"length mismatch: {len(d_j)} vs {m}")
-        constraints.append(
-            LinConstraint([Fraction(a - b) for a, b in zip(d_i, d_j)], "<=", 0)
-        )
-    for i in range(m):
-        coeffs = [Fraction(0)] * m
-        coeffs[i] = Fraction(-1)
-        constraints.append(LinConstraint(coeffs, "<=", -1))
-    return LinSystem(m, constraints)
+    m, k = len(d), len(others)
+    # Over the common denominator, row i >= 1 reads slack_i + sum_j
+    # rows[i][j] * x_j = rows[i][-1], and row 0 reads the same with the
+    # objective value in place of the slack; at the start that row is
+    # obj - z = 0. Columns j < m are w, column m is z.
+    rows = [[0] * m + [-1, 0]]
+    rows += [[a - b for a, b in zip(d, o)] + [0, 0] for o in others]
+    rows += [[-(j == c) for j in range(m)] + [1, 0] for c in range(m)]
+    rows.append([1] * m + [0, 1])
+    # variable ids: w and z are 0..m, the slack of row i is m + i
+    nonbasic = list(range(m + 1))
+    basic = [None] + [m + i for i in range(1, len(rows))]
+    denom = 1
+    while True:
+        objective = rows[0]
+        entering = [j for j in range(m + 1) if objective[j] < 0]
+        if not entering:
+            break
+        s = min(entering, key=nonbasic.__getitem__)
+        r = None
+        for i in range(1, len(rows)):
+            a = rows[i][s]
+            if a > 0 and (
+                r is None
+                or rows[i][-1] * rows[r][s] < rows[r][-1] * a
+                or (rows[i][-1] * rows[r][s] == rows[r][-1] * a and basic[i] < basic[r])
+            ):
+                r = i
+        denom = _pivot(rows, r, s, denom)
+        nonbasic[s], basic[r] = basic[r], nonbasic[s]
+
+    if rows[0][-1] > 0:
+        values = [Fraction(0)] * m
+        for i in range(1, len(rows)):
+            if basic[i] < m:
+                values[basic[i]] = Fraction(rows[i][-1], denom)
+        return integer_witness(values), None
+    duals = {
+        v - m - 1: rows[0][j]
+        for j, v in enumerate(nonbasic)
+        if m < v <= m + k and rows[0][j] > 0
+    }
+    total = sum(duals.values())
+    return None, {j: Fraction(y, total) for j, y in sorted(duals.items())}
 
 
 def integer_witness(w: Sequence[Fraction]) -> tuple[int, ...]:

@@ -3,14 +3,15 @@
 An Instance bundles the universe, the integrity constraints and the
 profile, validates satisfiability up front, and caches model sets and
 distance vectors. Merging with a finite scheme is plain argmin; merging
-with the all-positive scheme decides each candidate model by one exact
-LP feasibility question against the other models' distance vectors.
+with the all-positive scheme asks one exact LP (lp.decide) about each
+distinct vector on the Pareto front, and excludes every vector off it.
+An excluded model's certificate comes from the same LP: at most m other
+models whose convex combination of vectors beats it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -91,10 +92,7 @@ class Instance:
                 distances_to_bits(kind, self._mu_bits, bits, n)
                 for bits in self._entry_bits
             ]
-            cached = tuple(
-                tuple(int(col[r]) for col in columns)
-                for r in range(self._mu_bits.shape[0])
-            )
+            cached = tuple(map(tuple, np.column_stack(columns).tolist()))
             self._vectors[kind] = cached
         return cached
 
@@ -145,10 +143,7 @@ def _pareto_front(vectors) -> list[tuple[int, ...]]:
 
 
 def _witness_for(d_i, others) -> tuple[int, ...] | None:
-    point = lp.feasible(lp.minimality_system(d_i, others))
-    if point is None:
-        return None
-    return lp.integer_witness(point)
+    return lp.decide(d_i, others)[0]
 
 
 def minimal_for_some_positive(
@@ -181,15 +176,13 @@ def _scheme_merge(models, vectors, scheme: WeightScheme, kind: DistanceKind, n: 
                 selected.setdefault(model, witness)
         return MergeResult(frozenset(selected), selected)
 
-    # all-positive scheme: one feasibility question per distinct vector
+    # all-positive scheme: one LP per front vector; a vector off the
+    # front is excluded, a front vector strictly dominates it
     front = _pareto_front(vectors)
-    witness_by_vector: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    witness_by_vector = {d: _witness_for(d, [e for e in front if e != d]) for d in front}
     selected = {}
     for model, d in zip(models, vectors):
-        if d not in witness_by_vector:
-            others = [e for e in front if e != d]
-            witness_by_vector[d] = _witness_for(d, others)
-        w = witness_by_vector[d]
+        w = witness_by_vector.get(d)
         if w is not None:
             selected[model] = w
     return MergeResult(frozenset(selected), selected)
@@ -204,39 +197,33 @@ def merge_scheme(inst: Instance, scheme: WeightScheme, kind: DistanceKind) -> Me
 
 def undominated(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
     """Models of mu whose distance vector no other mu model strictly dominates."""
-    models = inst.mu_models()
     vectors = inst.vectors(kind)
-    distinct = set(vectors)
-    out = []
-    for m, d in zip(models, vectors):
-        if not any(strictly_dominates(e, d) for e in distinct if e != d):
-            out.append(m)
-    return frozenset(out)
+    front = set(_pareto_front(vectors))
+    return frozenset(m for m, d in zip(inst.mu_models(), vectors) if d in front)
 
 
 def excluding_subset(
     i: Model, inst: Instance, kind: DistanceKind
 ) -> tuple[Model, ...] | None:
-    """For an excluded model, at most m other mu models that already make
-    its minimality system infeasible; None when i is selected.
+    """For an excluded model, at most m other mu models that already
+    exclude it; None when i is selected.
 
-    Scans subsets smallest-first in deterministic (bit) order. Existence
-    within the m bound is guaranteed because an irredundant infeasible
-    system in m variables has at most m+1 inequalities, at least one of
-    which must be a positivity constraint.
+    The models are the support of lp.decide's exclusion certificate over
+    the distinct other vectors: some convex combination of their vectors
+    is <= i's in every coordinate and < in one. Each vector stands for
+    its first mu model in bit order; the result is in bit order too.
     """
-    pos = inst.model_index(i)
     vectors = inst.vectors(kind)
-    d_i = vectors[pos]
-    others = [(m, d) for k, (m, d) in enumerate(zip(inst.mu_models(), vectors)) if k != pos]
-    if lp.feasible(lp.minimality_system(d_i, [d for _, d in others])) is not None:
+    d_i = vectors[inst.model_index(i)]
+    first: dict[tuple[int, ...], Model] = {}
+    for m, d in zip(inst.mu_models(), vectors):
+        if d != d_i:
+            first.setdefault(d, m)
+    others = sorted(first)
+    witness, certificate = lp.decide(d_i, others)
+    if witness is not None:
         return None
-    for size in range(1, inst.m + 1):
-        for subset in combinations(others, size):
-            system = lp.minimality_system(d_i, [d for _, d in subset])
-            if lp.feasible(system) is None:
-                return tuple(m for m, _ in subset)
-    raise AssertionError("excluded model without an excluding subset of size <= m")
+    return tuple(sorted((first[others[j]] for j in certificate), key=lambda m: m.bits))
 
 
 def multi_source_merge(

@@ -2,11 +2,16 @@
 
 Everything here recomputes results from first principles in plain
 Python, deliberately avoiding the package's kernels, LP and geometry so
-the two routes stay independent.
+the two routes stay independent. Fourier-Motzkin elimination, which the
+package's integer simplex replaced, stays here as the differential
+oracle for lp.decide.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
+from typing import Sequence
 
 from beliefmerge import DistanceKind, Model, Universe, evaluate, models_of
 from beliefmerge.formulae import TRUE
@@ -44,6 +49,120 @@ def brute_merge_fixed(inst, w, kind: DistanceKind) -> frozenset[Model]:
     ]
     best = min(s for s, _ in scored)
     return frozenset(m for s, m in scored if s == best)
+
+
+@dataclass(frozen=True)
+class LinConstraint:
+    """sum(coeffs[i] * x[i]) <= rhs."""
+
+    coeffs: tuple[Fraction, ...]
+    rhs: Fraction
+
+    def __init__(self, coeffs: Sequence, rhs):
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "rhs", Fraction(rhs))
+
+    def holds_at(self, point: Sequence[Fraction]) -> bool:
+        return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0)) <= self.rhs
+
+
+@dataclass(frozen=True)
+class LinSystem:
+    dimension: int
+    constraints: tuple[LinConstraint, ...]
+
+    def __init__(self, dimension: int, constraints: Sequence[LinConstraint]):
+        if dimension < 1:
+            raise ValueError("dimension must be at least 1")
+        constraints = tuple(constraints)
+        for c in constraints:
+            if len(c.coeffs) != dimension:
+                raise ValueError(
+                    f"constraint has {len(c.coeffs)} coefficients, system dimension is {dimension}"
+                )
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "constraints", constraints)
+
+
+def _add_row(rows: dict, coeffs: tuple[Fraction, ...], rhs: Fraction) -> bool:
+    """Insert coeffs . x <= rhs, deduplicated under a canonical positive
+    scaling that keeps the tightest rhs; False for an unsatisfiable constant."""
+    if all(c == 0 for c in coeffs):
+        return rhs >= 0
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    g = gcd(*ints)
+    key = tuple(Fraction(v // g) for v in ints)
+    scaled = rhs * denom / g
+    if key not in rows or scaled < rows[key]:
+        rows[key] = scaled
+    return True
+
+
+def feasible(system: LinSystem) -> tuple[Fraction, ...] | None:
+    """A rational point satisfying every constraint, or None, by
+    Fourier-Motzkin elimination; back-substitution sets each variable to
+    the midpoint of its interval, or its one bound, or 0 if unbounded."""
+    rows: dict = {}
+    for c in system.constraints:
+        if not _add_row(rows, c.coeffs, c.rhs):
+            return None
+    remaining = list(range(system.dimension))
+    steps = []  # (var, rows bounding it at elimination time)
+    while remaining:
+        # cheapest variable first: fewest lower x upper pairings
+        def cost(k: int) -> tuple[int, int]:
+            pos = sum(1 for co in rows if co[k] > 0)
+            neg = sum(1 for co in rows if co[k] < 0)
+            return (pos * neg, k)
+
+        k = min(remaining, key=cost)
+        remaining.remove(k)
+        uppers = [(co, r) for co, r in rows.items() if co[k] > 0]
+        lowers = [(co, r) for co, r in rows.items() if co[k] < 0]
+        steps.append((k, uppers + lowers))
+        nxt: dict = {co: r for co, r in rows.items() if co[k] == 0}
+        for uc, ur in uppers:
+            for lc, lr in lowers:
+                a, b = uc[k], lc[k]
+                coeffs = tuple(-b * cu + a * cl for cu, cl in zip(uc, lc))
+                if not _add_row(nxt, coeffs, -b * ur + a * lr):
+                    return None
+        rows = nxt
+
+    values = [Fraction(0)] * system.dimension
+    for k, bounding in reversed(steps):
+        lower = upper = None
+        for coeffs, rhs in bounding:
+            rest = sum(
+                (coeffs[j] * values[j] for j in range(system.dimension) if j != k),
+                Fraction(0),
+            )
+            bound = (rhs - rest) / coeffs[k]
+            if coeffs[k] > 0:
+                upper = bound if upper is None else min(upper, bound)
+            else:
+                lower = bound if lower is None else max(lower, bound)
+        if lower is not None and upper is not None:
+            values[k] = (lower + upper) / 2
+        elif lower is not None or upper is not None:
+            values[k] = upper if lower is None else lower
+    return tuple(values)
+
+
+def minimality_system(d_i: Sequence[int], others: Sequence[Sequence[int]]) -> LinSystem:
+    """Weights making d_i weakly minimal against every vector in others:
+    w.(d_i - d_j) <= 0 for all j, with positivity normalized to w_i >= 1
+    (valid because the other rows are homogeneous)."""
+    m = len(d_i)
+    constraints = []
+    for d_j in others:
+        if len(d_j) != m:
+            raise ValueError(f"length mismatch: {len(d_j)} vs {m}")
+        constraints.append(LinConstraint([a - b for a, b in zip(d_i, d_j)], 0))
+    for i in range(m):
+        constraints.append(LinConstraint([-(j == i) for j in range(m)], -1))
+    return LinSystem(m, constraints)
 
 
 def grid_feasible(system, bound: int) -> tuple[int, ...] | None:

@@ -42,10 +42,11 @@ from beliefmerge import (
 )
 from beliefmerge._rng import Xoshiro256StarStar
 from beliefmerge.formulae import TRUE, Or, formula_from_models, models_of
-from beliefmerge.lp import LinConstraint, LinSystem, feasible, minimality_system
 from beliefmerge.maxcons import maxcons_disjunction as _disj
 from beliefmerge.merge import Instance as _Instance
 from beliefmerge.postulates import Verdict
+
+from oracles import LinConstraint, LinSystem, feasible, minimality_system
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
@@ -90,10 +91,10 @@ def test_criterion_02_undominated_excluded():
     printed_system = LinSystem(
         2,
         [
-            LinConstraint([-1, 2], "<=", 0),   # 2w1 + 2w2 <= 3w1
-            LinConstraint([2, -1], "<=", 0),   # 2w1 + 2w2 <= 3w2
-            LinConstraint([-1, 0], "<=", -1),
-            LinConstraint([0, -1], "<=", -1),
+            LinConstraint([-1, 2], 0),   # 2w1 + 2w2 <= 3w1
+            LinConstraint([2, -1], 0),   # 2w1 + 2w2 <= 3w2
+            LinConstraint([-1, 0], -1),
+            LinConstraint([0, -1], -1),
         ],
     )
     assert feasible(printed_system) is None
@@ -128,10 +129,10 @@ def test_criterion_05_exponential_construction():
     single_vector_system = LinSystem(
         2,
         [
-            LinConstraint([2, -1], "<=", 0),   # 3w1 <= w1 + w2
-            LinConstraint([-1, 2], "<=", 0),   # 3w2 <= w1 + w2
-            LinConstraint([-1, 0], "<=", -1),
-            LinConstraint([0, -1], "<=", -1),
+            LinConstraint([2, -1], 0),   # 3w1 <= w1 + w2
+            LinConstraint([-1, 2], 0),   # 3w2 <= w1 + w2
+            LinConstraint([-1, 0], -1),
+            LinConstraint([0, -1], -1),
         ],
     )
     assert feasible(single_vector_system) is None

@@ -16,7 +16,8 @@ from beliefmerge import (
 from beliefmerge._rng import Xoshiro256StarStar
 from beliefmerge.errors import DegenerateLineError
 from beliefmerge.geometry2d import Line2, line_through, render_svg, separates_from_origin
-from beliefmerge.lp import feasible, minimality_system
+
+from oracles import feasible, minimality_system
 
 DH = DistanceKind.hamming()
 

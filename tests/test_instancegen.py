@@ -17,9 +17,8 @@ from beliefmerge.errors import GenerationError
 from beliefmerge.formulae import TRUE, evaluate
 from beliefmerge.instancefile import instance_payload, load_instance_file
 from beliefmerge.instancegen import verify_realization
-from beliefmerge.lp import LinConstraint, LinSystem, feasible, minimality_system
 
-from oracles import brute_vector
+from oracles import LinConstraint, LinSystem, brute_vector, feasible, minimality_system
 
 DH = DistanceKind.hamming()
 
@@ -83,10 +82,10 @@ class TestReplicatedBlocks:
         system = LinSystem(
             2,
             [
-                LinConstraint([2, -1], "<=", 0),   # 3w1 <= w1 + w2
-                LinConstraint([-1, 2], "<=", 0),   # 3w2 <= w1 + w2
-                LinConstraint([-1, 0], "<=", -1),
-                LinConstraint([0, -1], "<=", -1),
+                LinConstraint([2, -1], 0),   # 3w1 <= w1 + w2
+                LinConstraint([-1, 2], 0),   # 3w2 <= w1 + w2
+                LinConstraint([-1, 0], -1),
+                LinConstraint([0, -1], -1),
             ],
         )
         assert feasible(system) is None

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,20 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefmerge import DistanceKind, random_instance
-from beliefmerge.errors import ResourceLimitError
-from beliefmerge.lp import (
-    LinConstraint,
-    LinSystem,
-    feasible,
-    integer_witness,
-    minimality_system,
-)
+from beliefmerge.lp import decide, integer_witness
 
-from oracles import grid_feasible
+from oracles import LinConstraint, LinSystem, feasible, grid_feasible, minimality_system
 
 
 def _leq(coeffs, rhs):
-    return LinConstraint(coeffs, "<=", rhs)
+    return LinConstraint(coeffs, rhs)
 
 
 class TestFeasible:
@@ -53,44 +47,12 @@ class TestFeasible:
         assert all(c.holds_at(point) for c in system.constraints)
         assert point[1] >= 2 * point[0]
 
-    def test_strict_inequalities(self):
-        open_interval = LinSystem(
-            1, [LinConstraint([1], "<", 1), LinConstraint([-1], "<", 0)]
-        )
-        point = feasible(open_interval)
-        assert point is not None and 0 < point[0] < 1
-
-        contradiction = LinSystem(
-            1, [LinConstraint([1], "<", 1), _leq([-1], -1)]
-        )
-        assert feasible(contradiction) is None
-
-    def test_equality_constraints(self):
-        system = LinSystem(
-            2, [LinConstraint([1, 0], "=", 3), _leq([0, 1], 5), _leq([0, -1], -5)]
-        )
-        assert feasible(system) == (Fraction(3), Fraction(5))
-
     def test_unconstrained_variable_defaults_to_zero(self):
         system = LinSystem(2, [_leq([1, 0], 4), _leq([-1, 0], -4)])
         assert feasible(system) == (Fraction(4), Fraction(0))
 
     def test_degenerate_blank_system(self):
         assert feasible(LinSystem(3, [])) == (Fraction(0),) * 3
-
-    def test_resource_guard(self):
-        # dense rows with balanced signs: every variable pairs 8 uppers
-        # with 8 lowers, so any elimination order exceeds a cap of 40
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
-        constraints = []
-        for r in range(16):
-            coeffs = [
-                (1 if (r >> v) & 1 else -1) * Fraction(1, primes[r] + v)
-                for v in range(4)
-            ]
-            constraints.append(_leq(coeffs, 1))
-        with pytest.raises(ResourceLimitError):
-            feasible(LinSystem(4, constraints), max_rows=40)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -104,13 +66,12 @@ class TestFeasible:
                         min_size=dim,
                         max_size=dim,
                     ),
-                    st.sampled_from(["<=", "<", "="]),
                     st.integers(min_value=-6, max_value=6),
                 ),
                 max_size=6,
             )
         )
-        system = LinSystem(dim, [LinConstraint(c, r, b) for c, r, b in rows])
+        system = LinSystem(dim, [LinConstraint(c, b) for c, b in rows])
         point = feasible(system)
         if point is not None:
             assert all(c.holds_at(point) for c in system.constraints)
@@ -177,3 +138,87 @@ class TestIntegerWitness:
         assert all(
             c.holds_at([Fraction(x) for x in scaled]) for c in system.constraints
         )
+
+
+FRONT_34 = [
+    tuple(int(x) for x in v.split(","))
+    for v in (
+        "0,0,1,3,3;0,0,2,3,2;0,1,1,2,3;0,1,2,3,1;0,1,3,0,3;0,1,3,2,2;0,1,3,3,0;"
+        "0,2,1,2,2;0,2,2,1,2;0,2,3,1,1;0,3,1,3,0;1,0,2,2,3;1,0,2,3,1;1,0,3,0,3;"
+        "1,1,0,3,2;1,1,3,2,1;1,2,2,2,0;1,2,3,1,0;1,3,0,1,3;2,0,0,3,3;2,0,3,1,1;"
+        "2,0,3,3,0;2,1,1,1,3;2,1,1,2,1;2,1,2,1,1;2,1,3,0,2;2,2,0,2,2;2,2,2,0,2;"
+        "2,3,0,3,0;3,0,0,3,1;3,1,0,2,2;3,1,3,0,0;3,3,0,0,1;3,3,2,0,0"
+    ).split(";")
+]
+
+
+def _front(vectors):
+    return [
+        d for d in vectors
+        if not any(e != d and all(a <= b for a, b in zip(e, d)) for e in vectors)
+    ]
+
+
+def _assert_certified(d, others, witness, certificate):
+    """Exact integer / Fraction checks of whichever side decide returned."""
+    assert (witness is None) != (certificate is None)
+    if witness is not None:
+        assert len(witness) == len(d)
+        assert all(isinstance(x, int) and x > 0 for x in witness)
+        score = sum(a * b for a, b in zip(witness, d))
+        assert all(score <= sum(a * b for a, b in zip(witness, o)) for o in others)
+    else:
+        assert 1 <= len(certificate) <= len(d)
+        assert all(isinstance(v, Fraction) and v > 0 for v in certificate.values())
+        assert sum(certificate.values()) == 1
+        combo = [sum(lam * others[j][c] for j, lam in certificate.items()) for c in range(len(d))]
+        assert all(a <= b for a, b in zip(combo, d))
+        assert any(a < b for a, b in zip(combo, d))
+
+
+class TestDecide:
+    def test_no_others_gives_unit_witness(self):
+        assert decide((4, 7, 1), []) == ((1, 1, 1), None)
+
+    def test_blocked_middle_is_excluded_by_both_extremes(self):
+        others = [(3, 0), (0, 3)]
+        witness, certificate = decide((2, 2), others)
+        assert witness is None and set(certificate) == {0, 1}
+        _assert_certified((2, 2), others, None, certificate)
+
+    def test_dominated_vector_is_excluded_by_its_dominator(self):
+        assert decide((2, 2), [(1, 2), (0, 5)]) == (None, {0: Fraction(1)})
+
+    def test_intro_extreme_has_certified_witness(self):
+        others = [(1, 1), (3, 0)]
+        witness, certificate = decide((0, 3), others)
+        assert certificate is None
+        _assert_certified((0, 3), others, witness, None)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_agrees_with_fourier_motzkin_on_seeded_fronts(self, m):
+        rng = random.Random(4000 + m)
+        sizes = {1: 4, 2: 14, 3: 14, 4: 12, 5: 9}
+        outcomes = []
+        for _ in range(40):
+            points = {tuple(rng.randrange(5) for _ in range(m)) for _ in range(sizes[m])}
+            front = _front(sorted(points))
+            for d in sorted(points):
+                others = [e for e in front if e != d]
+                witness, certificate = decide(d, others)
+                oracle = feasible(minimality_system(d, others))
+                assert (witness is None) == (oracle is None), (d, others)
+                _assert_certified(d, others, witness, certificate)
+                outcomes.append(witness is None)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_34_vector_five_coordinate_front_certifies(self):
+        # a 34-vector m = 5 front on which Fourier-Motzkin ran past 400 s
+        assert _front(FRONT_34) == FRONT_34
+        selected = 0
+        for d in FRONT_34:
+            others = [e for e in FRONT_34 if e != d]
+            witness, certificate = decide(d, others)
+            _assert_certified(d, others, witness, certificate)
+            selected += witness is not None
+        assert 0 < selected < len(FRONT_34)

@@ -25,11 +25,10 @@ from beliefmerge import (
 )
 from beliefmerge.errors import InconsistentConstraintsError, InconsistentProfileError
 from beliefmerge.formulae import TRUE
-from beliefmerge.lp import feasible, minimality_system
 from beliefmerge.maxcons import maxcons_disjunction
 from beliefmerge.weights import strictly_dominates
 
-from oracles import brute_merge_fixed
+from oracles import brute_merge_fixed, feasible, minimality_system
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
