@@ -47,7 +47,6 @@ from .weights import (
     dominates,
     expand_scheme,
     strictly_dominates,
-    weighted_distance,
 )
 
 __version__ = "0.1.0"
@@ -96,5 +95,4 @@ __all__ = [
     "subsat",
     "undominated",
     "visible_hull",
-    "weighted_distance",
 ]

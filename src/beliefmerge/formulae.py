@@ -218,10 +218,14 @@ def truth_table(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS
     return rec(f)
 
 
+def table_bits(table: np.ndarray) -> np.ndarray:
+    """Bitmasks where a truth table is true, as a sorted int64 array."""
+    return np.flatnonzero(table).astype(np.int64, copy=False)
+
+
 def models_bits(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS) -> np.ndarray:
     """Satisfying bitmasks as a sorted int64 array (kernel-ready form)."""
-    table = truth_table(f, universe, max_vars)
-    return np.nonzero(table)[0].astype(np.int64)
+    return table_bits(truth_table(f, universe, max_vars))
 
 
 def models_of(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS) -> tuple[Model, ...]:

@@ -15,11 +15,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .distance import DistanceKind
 from .errors import DegenerateLineError
 from .formulae import Model
-from .merge import Instance
-from .weights import strictly_dominates
+from .merge import Instance, distinct_front, undominated
 
 Point2 = tuple[int, int]
 
@@ -62,14 +63,6 @@ def separates_from_origin(line: Line2, p: Point2) -> bool:
     return (vp > 0) != (v0 > 0)
 
 
-def _pareto_points(points: Iterable[Point2]) -> list[Point2]:
-    pts = sorted(set(points))
-    return [
-        p for p in pts
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-    ]
-
-
 def _cross(o: Point2, a: Point2, b: Point2) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -83,11 +76,12 @@ def visible_hull(points: Iterable[Point2]) -> set[Point2]:
     decreasing y for increasing x; a monotone-chain walk that pops only
     on strictly concave turns keeps exactly the on-chain points.
     """
-    frontier = _pareto_points(points)
-    if not frontier:
+    pts = np.array(list(points), dtype=np.int64).reshape(-1, 2)
+    if not len(pts):
         raise ValueError("empty point set")
+    rows, _, _, front = distinct_front(pts)
     chain: list[Point2] = []
-    for p in frontier:
+    for p in map(tuple, rows[front].tolist()):
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) < 0:
             chain.pop()
         chain.append(p)
@@ -108,22 +102,20 @@ def _excludes(p: Point2, j: Point2, k: Point2) -> bool:
 def algorithm1(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
     """Two-formula merge by progressive exclusion.
 
-    First removes strictly dominated models until stable, then removes
-    every model excluded by some pair of the remaining ones, again to a
-    fixpoint. The survivors are exactly the all-positive-weights merge
-    (cross-checked against the LP route in the test suite).
+    First removes the strictly dominated models (one pass suffices:
+    strict dominance is transitive, so a front vector dominates every
+    dominated one), then removes every model excluded by some pair of
+    the remaining ones, to a fixpoint. The survivors are exactly the
+    all-positive-weights merge (cross-checked against the LP route in
+    the test suite).
     """
     if inst.m != 2:
         raise ValueError("the geometric algorithm applies to two-formula profiles only")
-    entries = list(zip(inst.mu_models(), inst.vectors(kind)))
-
-    changed = True
-    while changed:
-        changed = False
-        for model, vec in list(entries):
-            if any(strictly_dominates(other, vec) for _, other in entries if other != vec):
-                entries.remove((model, vec))
-                changed = True
+    matrix = inst.distances(kind)
+    entries = [
+        (model, tuple(matrix[inst.model_index(model)].tolist()))
+        for model in undominated(inst, kind)
+    ]
 
     changed = True
     while changed:

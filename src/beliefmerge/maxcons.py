@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .formulae import Model, truth_table
+from .formulae import Model
 from .merge import Instance
 
 
@@ -23,20 +23,15 @@ def maxcons(inst: Instance) -> tuple[frozenset[int], ...]:
     sorted lexicographically on the sorted index tuples.
     """
     m = inst.m
-    mu_table = truth_table(inst.constraints, inst.universe, inst.max_vars)
-    tables = [
-        truth_table(f, inst.universe, inst.max_vars) for f in inst.profile
-    ]
-
     found: list[frozenset[int]] = []
     for size in range(m, -1, -1):
         for subset in combinations(range(m), size):
             s = frozenset(subset)
             if any(s <= bigger for bigger in found):
                 continue
-            table = mu_table
+            table = inst.mu_table
             for i in subset:
-                table = table & tables[i]
+                table = table & inst.profile_tables[i]
             if table.any():
                 found.append(s)
     return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
@@ -44,15 +39,11 @@ def maxcons(inst: Instance) -> tuple[frozenset[int], ...]:
 
 def maxcons_disjunction(inst: Instance) -> frozenset[Model]:
     """Models of the disjunction over all maxcons of mu /\\ AND F_i."""
-    mu_table = truth_table(inst.constraints, inst.universe, inst.max_vars)
-    tables = [
-        truth_table(f, inst.universe, inst.max_vars) for f in inst.profile
-    ]
-    union = np.zeros_like(mu_table)
+    union = np.zeros_like(inst.mu_table)
     for s in maxcons(inst):
-        table = mu_table.copy()
+        table = inst.mu_table.copy()
         for i in s:
-            table &= tables[i]
+            table &= inst.profile_tables[i]
         union |= table
     return frozenset(
         Model(inst.universe, int(b)) for b in np.nonzero(union)[0]

@@ -1,12 +1,16 @@
 """Merging operators over weight schemes.
 
 An Instance bundles the universe, the integrity constraints and the
-profile, validates satisfiability up front, and caches model sets and
-distance vectors. Merging with a finite scheme is plain argmin; merging
-with the all-positive scheme asks one exact LP (lp.decide) about each
-distinct vector on the Pareto front, and excludes every vector off it.
-An excluded model's certificate comes from the same LP: at most m other
-models whose convex combination of vectors beats it.
+profile, validates satisfiability up front, and keeps the truth tables
+it built. Every operator reads one read-only int64 distance matrix per
+distance kind: row r is the distance vector of the r-th mu model in bit
+order, column j the distance to F_j. A finite scheme scores every row
+against every integer weight vector with one matrix product and keeps
+the column minima. The all-positive scheme asks one exact LP
+(lp.decide) about each distinct row on the Pareto front, and excludes
+every row off it. An excluded model's certificate comes from the same
+LP: at most m other models whose convex combination of vectors beats
+it. Model objects are built only for the rows an operator returns.
 """
 
 from __future__ import annotations
@@ -28,24 +32,30 @@ from .formulae import (
     Formula,
     Model,
     Universe,
-    models_bits,
+    table_bits,
+    truth_table,
 )
 from .weights import (
     ExpertWeights,
+    ExplicitWeights,
     WeightScheme,
-    as_weight_vector,
     default_expert_weight,
     expand_scheme,
-    strictly_dominates,
-    weighted_distance,
 )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class Instance:
     """Integrity constraints mu plus an ordered profile F_1..F_m.
 
     Rejects an inconsistent mu and any unsatisfiable profile entry at
-    construction: every operator in the package presupposes both.
+    construction: every operator in the package presupposes both. The
+    read-only truth tables ``mu_table`` and ``profile_tables`` (one
+    boolean per assignment, in bitmask order) are kept for reuse.
     """
 
     def __init__(
@@ -63,17 +73,21 @@ class Instance:
         self.profile = profile
         self.max_vars = max_vars
 
-        self._mu_bits = models_bits(constraints, universe, max_vars)
+        self.mu_table = _read_only(truth_table(constraints, universe, max_vars))
+        self._mu_bits = table_bits(self.mu_table)
         if self._mu_bits.shape[0] == 0:
             raise InconsistentConstraintsError("integrity constraints are unsatisfiable")
-        self._entry_bits = []
+        tables, self._entry_bits = [], []
         for idx, f in enumerate(profile):
-            bits = models_bits(f, universe, max_vars)
+            table = _read_only(truth_table(f, universe, max_vars))
+            bits = table_bits(table)
             if bits.shape[0] == 0:
                 raise InconsistentProfileError(idx)
+            tables.append(table)
             self._entry_bits.append(bits)
-        self._models = tuple(Model(universe, int(b)) for b in self._mu_bits)
-        self._vectors: dict[DistanceKind, tuple[tuple[int, ...], ...]] = {}
+        self.profile_tables = tuple(tables)
+        self._models: tuple[Model, ...] | None = None
+        self._distances: dict[DistanceKind, np.ndarray] = {}
 
     @property
     def m(self) -> int:
@@ -81,20 +95,29 @@ class Instance:
 
     def mu_models(self) -> tuple[Model, ...]:
         """Models of mu in lexicographic bit order."""
+        if self._models is None:
+            self._models = tuple(self._models_at(slice(None)))
         return self._models
 
-    def vectors(self, kind: DistanceKind) -> tuple[tuple[int, ...], ...]:
-        """Distance vectors d(I, F_1..F_m), aligned with mu_models()."""
-        cached = self._vectors.get(kind)
-        if cached is None:
+    def _models_at(self, rows) -> list[Model]:
+        return [Model(self.universe, b) for b in self._mu_bits[rows].tolist()]
+
+    def distances(self, kind: DistanceKind) -> np.ndarray:
+        """Read-only int64 matrix of d(I, F_j): one row per mu model, in
+        the order of mu_models(), one column per profile entry."""
+        matrix = self._distances.get(kind)
+        if matrix is None:
             n = self.universe.n
-            columns = [
+            matrix = _read_only(np.column_stack([
                 distances_to_bits(kind, self._mu_bits, bits, n)
                 for bits in self._entry_bits
-            ]
-            cached = tuple(map(tuple, np.column_stack(columns).tolist()))
-            self._vectors[kind] = cached
-        return cached
+            ]))
+            self._distances[kind] = matrix
+        return matrix
+
+    def vectors(self, kind: DistanceKind) -> tuple[tuple[int, ...], ...]:
+        """Distance vectors d(I, F_1..F_m) as int tuples, aligned with mu_models()."""
+        return tuple(map(tuple, self.distances(kind).tolist()))
 
     def model_index(self, i: Model) -> int:
         """Position of i among the mu models; raises if i does not satisfy mu."""
@@ -106,7 +129,7 @@ class Instance:
         return pos
 
     def __repr__(self) -> str:
-        return f"Instance(n={self.universe.n}, m={self.m}, mu_models={len(self._models)})"
+        return f"Instance(n={self.universe.n}, m={self.m}, mu_models={len(self._mu_bits)})"
 
 
 @dataclass(frozen=True)
@@ -118,32 +141,33 @@ class MergeResult:
     witnesses: dict[Model, tuple[int, ...]] = field(default_factory=dict)
 
 
-def _argmin_models(models, vectors, w) -> frozenset[Model]:
-    totals = [weighted_distance(w, d) for d in vectors]
-    best = min(totals)
-    return frozenset(m for m, t in zip(models, totals) if t == best)
+def distinct_front(
+    matrix: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, first, inverse, front) for an integer matrix: its distinct
+    rows in lexicographic order, the index of each one's first
+    occurrence, the distinct row of every input row, and the mask of
+    distinct rows no other row strictly dominates (the Pareto front).
+
+    A strictly dominating row comes first lexicographically, so the
+    first live row is always on the front; it then drops every row it
+    dominates. Memory stays O(k * m) for k rows of length m.
+    """
+    rows, first, inverse = np.unique(
+        matrix, axis=0, return_index=True, return_inverse=True
+    )
+    front = np.zeros(len(rows), dtype=bool)
+    live = np.ones(len(rows), dtype=bool)
+    while live.any():
+        i = int(live.argmax())
+        front[i] = True
+        live &= ~(rows[i] <= rows).all(axis=1)
+    return rows, first, inverse.reshape(-1), front
 
 
 def merge_fixed(inst: Instance, w, kind: DistanceKind) -> frozenset[Model]:
     """Models of mu at minimal distance weighted by the fixed vector w."""
-    w = as_weight_vector(w)
-    if len(w) != inst.m:
-        raise ValueError(f"weight vector length {len(w)} != profile length {inst.m}")
-    return _argmin_models(inst.mu_models(), inst.vectors(kind), w)
-
-
-def _pareto_front(vectors) -> list[tuple[int, ...]]:
-    """Distinct vectors not strictly dominated by another; constraining
-    against these is equivalent to constraining against all vectors."""
-    distinct = sorted(set(vectors))
-    return [
-        d for d in distinct
-        if not any(strictly_dominates(e, d) for e in distinct if e is not d)
-    ]
-
-
-def _witness_for(d_i, others) -> tuple[int, ...] | None:
-    return lp.decide(d_i, others)[0]
+    return merge_scheme(inst, ExplicitWeights([w]), kind).models
 
 
 def minimal_for_some_positive(
@@ -151,10 +175,10 @@ def minimal_for_some_positive(
 ) -> tuple[int, ...] | None:
     """An integer weight vector under which i is minimal, if any exists."""
     pos = inst.model_index(i)
-    vectors = inst.vectors(kind)
-    d_i = vectors[pos]
-    others = [d for d in _pareto_front(vectors) if d != d_i]
-    return _witness_for(d_i, others)
+    matrix = inst.distances(kind)
+    d_i = matrix[pos].tolist()
+    rows, _, _, front = distinct_front(matrix)
+    return lp.decide(d_i, [e for e in rows[front].tolist() if e != d_i])[0]
 
 
 def _resolve(scheme: WeightScheme, kind: DistanceKind, n: int, m: int) -> WeightScheme:
@@ -163,43 +187,60 @@ def _resolve(scheme: WeightScheme, kind: DistanceKind, n: int, m: int) -> Weight
     return scheme
 
 
-def _scheme_merge(models, vectors, scheme: WeightScheme, kind: DistanceKind, n: int) -> MergeResult:
-    m = len(vectors[0])
-    scheme = _resolve(scheme, kind, n, m)
-    expanded = expand_scheme(scheme, m)
-
-    if expanded is not None:
-        selected: dict[Model, tuple[int, ...]] = {}
-        for w in expanded:
-            witness = lp.integer_witness(w)
-            for model in _argmin_models(models, vectors, w):
-                selected.setdefault(model, witness)
-        return MergeResult(frozenset(selected), selected)
-
-    # all-positive scheme: one LP per front vector; a vector off the
-    # front is excluded, a front vector strictly dominates it
-    front = _pareto_front(vectors)
-    witness_by_vector = {d: _witness_for(d, [e for e in front if e != d]) for d in front}
-    selected = {}
-    for model, d in zip(models, vectors):
-        w = witness_by_vector.get(d)
-        if w is not None:
-            selected[model] = w
+def _argmin_merge(inst: Instance, matrix: np.ndarray, vectors) -> MergeResult:
+    """Rows minimal under at least one weight vector, each with the
+    integer form of the first vector that selects it."""
+    witnesses = [lp.integer_witness(w) for w in vectors]
+    # no score exceeds this bound: int64 below 2^63, exact Python ints above
+    bound = max(int(matrix.max()), 1) * max(map(sum, witnesses))
+    dtype = np.int64 if bound < 2**63 else object
+    scores = matrix.astype(dtype, copy=False) @ np.array(witnesses, dtype=dtype).T
+    hit = scores == scores.min(axis=0)
+    rows = np.flatnonzero(hit.any(axis=1))
+    firsts = hit[rows].argmax(axis=1).tolist()
+    selected = {
+        model: witnesses[j] for model, j in zip(inst._models_at(rows), firsts)
+    }
     return MergeResult(frozenset(selected), selected)
+
+
+def _lp_merge(inst: Instance, matrix: np.ndarray) -> MergeResult:
+    """All-positive scheme: one LP per front row; a row off the front is
+    excluded, a front row strictly dominates it."""
+    rows, _, inverse, front = distinct_front(matrix)
+    candidates = rows[front].tolist()
+    witness = {}
+    for i, d in zip(np.flatnonzero(front).tolist(), candidates):
+        w = lp.decide(d, [e for e in candidates if e != d])[0]
+        if w is not None:
+            witness[i] = w
+    chosen = np.flatnonzero(np.isin(inverse, list(witness)))
+    selected = {
+        model: witness[i]
+        for model, i in zip(inst._models_at(chosen), inverse[chosen].tolist())
+    }
+    return MergeResult(frozenset(selected), selected)
+
+
+def _scheme_merge(
+    inst: Instance, matrix: np.ndarray, scheme: WeightScheme, kind: DistanceKind
+) -> MergeResult:
+    m = matrix.shape[1]
+    vectors = expand_scheme(_resolve(scheme, kind, inst.universe.n, m), m)
+    if vectors is None:
+        return _lp_merge(inst, matrix)
+    return _argmin_merge(inst, matrix, vectors)
 
 
 def merge_scheme(inst: Instance, scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
     """Union of the fixed-weight merges over every vector the scheme admits."""
-    return _scheme_merge(
-        inst.mu_models(), inst.vectors(kind), scheme, kind, inst.universe.n
-    )
+    return _scheme_merge(inst, inst.distances(kind), scheme, kind)
 
 
 def undominated(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
     """Models of mu whose distance vector no other mu model strictly dominates."""
-    vectors = inst.vectors(kind)
-    front = set(_pareto_front(vectors))
-    return frozenset(m for m, d in zip(inst.mu_models(), vectors) if d in front)
+    _, _, inverse, front = distinct_front(inst.distances(kind))
+    return frozenset(inst._models_at(np.flatnonzero(front[inverse])))
 
 
 def excluding_subset(
@@ -213,17 +254,14 @@ def excluding_subset(
     is <= i's in every coordinate and < in one. Each vector stands for
     its first mu model in bit order; the result is in bit order too.
     """
-    vectors = inst.vectors(kind)
-    d_i = vectors[inst.model_index(i)]
-    first: dict[tuple[int, ...], Model] = {}
-    for m, d in zip(inst.mu_models(), vectors):
-        if d != d_i:
-            first.setdefault(d, m)
-    others = sorted(first)
-    witness, certificate = lp.decide(d_i, others)
+    pos = inst.model_index(i)
+    matrix = inst.distances(kind)
+    rows, first, _, _ = distinct_front(matrix)
+    other = (rows != matrix[pos]).any(axis=1)
+    witness, certificate = lp.decide(matrix[pos].tolist(), rows[other].tolist())
     if witness is not None:
         return None
-    return tuple(sorted((first[others[j]] for j in certificate), key=lambda m: m.bits))
+    return tuple(inst._models_at(np.sort(first[other][list(certificate)])))
 
 
 def multi_source_merge(
@@ -244,18 +282,9 @@ def multi_source_merge(
     sources = [tuple(s) for s in sources]
     if not sources or any(not s for s in sources):
         raise ValueError("each source must provide at least one formula")
-    flat = [f for s in sources for f in s]
-    inst = Instance(universe, constraints, flat, max_vars)
-
-    flat_vectors = inst.vectors(kind)
-    aggregated = []
-    for vec in flat_vectors:
-        agg, at = [], 0
-        for s in sources:
-            agg.append(sum(vec[at : at + len(s)]))
-            at += len(s)
-        aggregated.append(tuple(agg))
-
-    return _scheme_merge(
-        inst.mu_models(), tuple(aggregated), scheme, kind, universe.n
+    inst = Instance(universe, constraints, [f for s in sources for f in s], max_vars)
+    # 0/1 matrix sending each flat formula's column to its source's column
+    to_source = np.repeat(
+        np.eye(len(sources), dtype=np.int64), [len(s) for s in sources], axis=0
     )
+    return _scheme_merge(inst, inst.distances(kind) @ to_source, scheme, kind)

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .distance import DistanceKind, model_distance
+import numpy as np
+
+from .distance import DistanceKind, distances_to_bits
 from .errors import InconsistentConstraintsError, UnsatisfiableFormulaError
 from .formulae import (
     DEFAULT_MAX_VARS,
@@ -20,8 +22,7 @@ from .formulae import (
     TRUE,
     Universe,
     evaluate,
-    models_of,
-    truth_table,
+    models_bits,
 )
 from .merge import Instance, merge_scheme
 from .weights import (
@@ -73,9 +74,9 @@ def check_ic1(cfg: OperatorConfig, inst: Instance) -> Verdict:
 
 def check_ic2(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """When mu and the whole profile agree, merging is their conjunction."""
-    table = truth_table(inst.constraints, inst.universe, inst.max_vars)
-    for f in inst.profile:
-        table = table & truth_table(f, inst.universe, inst.max_vars)
+    table = inst.mu_table
+    for t in inst.profile_tables:
+        table = table & t
     if not table.any():
         return Verdict(True, vacuous=True)
     conj = frozenset(
@@ -86,12 +87,6 @@ def check_ic2(cfg: OperatorConfig, inst: Instance) -> Verdict:
         return Verdict(True)
     return _fail(merged=sorted(merged, key=lambda m: m.bits),
                  conjunction=sorted(conj, key=lambda m: m.bits))
-
-
-def _equivalent(f: Formula, g: Formula, universe: Universe, max_vars: int) -> bool:
-    return bool(
-        (truth_table(f, universe, max_vars) == truth_table(g, universe, max_vars)).all()
-    )
 
 
 def check_ic3(
@@ -111,10 +106,10 @@ def check_ic3(
     perm = list(permutation) if permutation is not None else list(range(inst.m))
     if sorted(perm) != list(range(inst.m)):
         raise ValueError("permutation must be a bijection on profile indices")
-    if not _equivalent(inst.constraints, other.constraints, inst.universe, inst.max_vars):
+    if not np.array_equal(inst.mu_table, other.mu_table):
         raise ValueError("constraints are not equivalent")
     for i, j in enumerate(perm):
-        if not _equivalent(inst.profile[i], other.profile[j], inst.universe, inst.max_vars):
+        if not np.array_equal(inst.profile_tables[i], other.profile_tables[j]):
             raise ValueError(f"profile entries {i} and {j} are not equivalent")
     a, b = _merged(cfg, inst), _merged(cfg, other)
     return Verdict(True) if a == b else _fail(left=sorted(a, key=lambda m: m.bits),
@@ -125,10 +120,8 @@ def check_ic4(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """Fairness between two sources that both respect the constraints."""
     if inst.m != 2:
         raise ValueError("IC4 is stated for two-formula profiles")
-    mu_table = truth_table(inst.constraints, inst.universe, inst.max_vars)
-    for idx, f in enumerate(inst.profile):
-        entails = not (truth_table(f, inst.universe, inst.max_vars) & ~mu_table).any()
-        if not entails:
+    for idx, table in enumerate(inst.profile_tables):
+        if (table & ~inst.mu_table).any():
             raise ValueError(f"profile entry {idx + 1} does not entail the constraints")
     merged = _merged(cfg, inst)
     with_f1 = any(evaluate(inst.profile[0], m) for m in merged)
@@ -299,23 +292,18 @@ def closest_pairs_merge(
 ) -> frozenset[Model]:
     """Arbitration by closest pairs: all models appearing in some pair of
     (Mod(f1) x Mod(f2)) of minimal Hamming distance."""
-    m1 = models_of(f1, universe, max_vars)
-    m2 = models_of(f2, universe, max_vars)
-    if not m1 or not m2:
+    b1 = models_bits(f1, universe, max_vars)
+    b2 = models_bits(f2, universe, max_vars)
+    if not b1.size or not b2.size:
         raise UnsatisfiableFormulaError("closest pairs need satisfiable formulae")
+    # a model is in some closest pair iff its distance to the other
+    # formula is the global minimum
     hamming = DistanceKind.hamming()
-    best = None
-    chosen: set[Model] = set()
-    for i in m1:
-        for j in m2:
-            d = model_distance(hamming, i, j)
-            if best is None or d < best:
-                best = d
-                chosen = {i, j}
-            elif d == best:
-                chosen.add(i)
-                chosen.add(j)
-    return frozenset(chosen)
+    d1 = distances_to_bits(hamming, b1, b2, universe.n)
+    d2 = distances_to_bits(hamming, b2, b1, universe.n)
+    best = d1.min()
+    chosen = np.concatenate([b1[d1 == best], b2[d2 == best]])
+    return frozenset(Model(universe, b) for b in chosen.tolist())
 
 
 def check_majority(
@@ -339,9 +327,8 @@ def check_majority(
 
 def check_disjunctive(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """Every merged model satisfies at least one profile entry."""
-    mu_table = truth_table(inst.constraints, inst.universe, inst.max_vars)
-    for f in inst.profile:
-        if not (truth_table(f, inst.universe, inst.max_vars) & mu_table).any():
+    for table in inst.profile_tables:
+        if not (table & inst.mu_table).any():
             return Verdict(True, vacuous=True)
     merged = _merged(cfg, inst)
     stray = [

@@ -27,13 +27,6 @@ def as_weight_vector(values: Sequence) -> WeightVector:
     return out
 
 
-def weighted_distance(w: Sequence, d: Sequence[int]) -> Fraction:
-    """Exact scalar product of a weight vector and a distance vector."""
-    if len(w) != len(d):
-        raise ValueError(f"length mismatch: {len(w)} weights vs {len(d)} distances")
-    return sum((Fraction(wi) * di for wi, di in zip(w, d)), Fraction(0))
-
-
 def dominates(d1: Sequence[int], d2: Sequence[int]) -> bool:
     """Componentwise d1 <= d2 (reflexive)."""
     if len(d1) != len(d2):

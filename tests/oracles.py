@@ -42,13 +42,37 @@ def brute_vector(kind: DistanceKind, i: Model, profile) -> tuple[int, ...]:
     return tuple(brute_formula_distance(kind, i, f) for f in profile)
 
 
+def brute_score(w: Sequence, d: Sequence[int]) -> Fraction:
+    """Exact weighted sum of a distance vector, in Fractions."""
+    if len(w) != len(d):
+        raise ValueError(f"length mismatch: {len(w)} weights vs {len(d)} distances")
+    return sum((Fraction(wi) * di for wi, di in zip(w, d)), Fraction(0))
+
+
 def brute_merge_fixed(inst, w, kind: DistanceKind) -> frozenset[Model]:
     scored = [
-        (sum(Fraction(wi) * di for wi, di in zip(w, brute_vector(kind, m, inst.profile))), m)
+        (brute_score(w, brute_vector(kind, m, inst.profile)), m)
         for m in models_of(inst.constraints, inst.universe)
     ]
     best = min(s for s, _ in scored)
     return frozenset(m for s, m in scored if s == best)
+
+
+def brute_closest_pairs(universe: Universe, f1, f2) -> frozenset[Model]:
+    """Every model in some pair of Mod(f1) x Mod(f2) at minimal Hamming
+    distance, by the double loop over model pairs."""
+    best = None
+    chosen: set[Model] = set()
+    for i in models_of(f1, universe):
+        for j in models_of(f2, universe):
+            d = brute_model_distance(DistanceKind.hamming(), i, j)
+            if best is None or d < best:
+                best = d
+                chosen = {i, j}
+            elif d == best:
+                chosen.add(i)
+                chosen.add(j)
+    return frozenset(chosen)
 
 
 @dataclass(frozen=True)

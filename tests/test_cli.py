@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,21 @@ def drastic_file(tmp_path):
     }
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_json_golden(capsys, intro_file):
+    """merge --json on the README's running example, pinned byte for byte
+    (witnesses included) under each finite scheme and the all scheme."""
+    for scheme in ("equal", "list:2,1", "expert", "all"):
+        code, out, _ = run(
+            capsys, "merge", "--instance", intro_file, "--scheme", scheme, "--json"
+        )
+        assert code == 0
+        name = "intro-" + scheme.replace(":", "-").replace(",", "-") + ".json"
+        assert out == (GOLDEN / name).read_text(encoding="utf-8"), scheme
 
 
 class TestMerge:

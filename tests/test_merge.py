@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from beliefmerge import (
@@ -21,14 +22,19 @@ from beliefmerge import (
     random_instance,
     realize,
     undominated,
-    weighted_distance,
 )
 from beliefmerge.errors import InconsistentConstraintsError, InconsistentProfileError
 from beliefmerge.formulae import TRUE
+from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
-from beliefmerge.weights import strictly_dominates
+from beliefmerge.weights import (
+    default_expert_weight,
+    expand_scheme,
+    parse_scheme,
+    strictly_dominates,
+)
 
-from oracles import brute_merge_fixed, feasible, minimality_system
+from oracles import brute_merge_fixed, brute_score, feasible, minimality_system
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
@@ -70,6 +76,17 @@ class TestInstance:
         with pytest.raises(ValueError):
             inst.model_index(Model(u, 0))
 
+    def test_distance_matrix_and_tables_are_read_only(self, intro):
+        matrix = intro.distances(DH)
+        assert matrix.dtype == np.int64 and matrix.shape == (3, 2)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 7
+        for table in (intro.mu_table, *intro.profile_tables):
+            with pytest.raises(ValueError):
+                table[0] = True
+        assert intro.vectors(DH) == tuple(map(tuple, matrix.tolist()))
+        assert all(type(x) is int for d in intro.vectors(DH) for x in d)
+
 
 class TestMergeFixed:
     def test_intro_equal_weights_select_the_compromise(self, intro):
@@ -105,6 +122,53 @@ class TestMergeFixed:
             assert merge_fixed(inst, w, DD) == brute_merge_fixed(inst, w, DD)
 
 
+# weights whose scores pass 2^63 on DEEP's Hamming distances, so the
+# matrix product runs on Python ints; DEEP's rows tie only up to 1 in 10^19
+HUGE_SCHEMES = ["list:1/1000000007,1/998244353,3/7", "list:1,1,10000000000000000000"]
+DEEP = [[1, 2, 1], [2, 0, 1], [0, 3, 2], [4, 4, 1], [3, 1, 3], [2, 2, 2]]
+
+
+def _brute_scheme_merge(inst, vectors, kind):
+    """Union of brute-force fixed merges; each model keeps the first vector."""
+    witnesses = {}
+    for w in vectors:
+        for model in brute_merge_fixed(inst, w, kind):
+            witnesses.setdefault(model, integer_witness(w))
+    return witnesses
+
+
+class TestFiniteSchemesAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_instances(self, seed):
+        inst = random_instance(4, 3, seed=seed)
+        texts = ["equal", "expert", "list:2,1,1;1,1,3;1/2,5/3,1"] + HUGE_SCHEMES
+        for kind in (DD, DH):
+            for text in texts:
+                self._check(inst, parse_scheme(text), kind)
+
+    def test_python_int_scores_stay_exact(self):
+        inst = realize(DEEP)
+        for text in HUGE_SCHEMES:
+            vectors = expand_scheme(parse_scheme(text), 3)
+            bound = int(inst.distances(DH).max()) * max(
+                sum(integer_witness(w)) for w in vectors
+            )
+            assert bound >= 2**63
+            self._check(inst, parse_scheme(text), DH)
+        # 10^19 + 2 beats 10^19 + 3, which a float64 score would tie
+        assert merge_fixed(inst, [1, 1, 10**19], DH) == {by_vector(inst, DH)[(2, 0, 1)]}
+
+    def _check(self, inst, scheme, kind):
+        if scheme == ExpertWeights():
+            scheme = ExpertWeights(default_expert_weight(kind, inst.universe.n, inst.m))
+        vectors = expand_scheme(scheme, inst.m)
+        result = merge_scheme(inst, scheme, kind)
+        assert result.witnesses == _brute_scheme_merge(inst, vectors, kind)
+        assert result.models == frozenset(result.witnesses)
+        for w in vectors:
+            assert merge_fixed(inst, w, kind) == brute_merge_fixed(inst, w, kind)
+
+
 class TestMinimalForSomePositive:
     def test_undominated_middle_vector_has_no_witness(self, blocked):
         middle = by_vector(blocked, DH)[(2, 2)]
@@ -114,11 +178,11 @@ class TestMinimalForSomePositive:
         target = by_vector(intro, DH)[(0, 3)]
         witness = minimal_for_some_positive(target, intro, DH)
         assert witness is not None
-        best = min(weighted_distance(witness, d) for d in intro.vectors(DH))
-        assert weighted_distance(witness, (0, 3)) == best
+        best = min(brute_score(witness, d) for d in intro.vectors(DH))
+        assert brute_score(witness, (0, 3)) == best
         # the published example weights work as well
-        assert weighted_distance([4, 1], (0, 3)) == min(
-            weighted_distance([4, 1], d) for d in intro.vectors(DH)
+        assert brute_score([4, 1], (0, 3)) == min(
+            brute_score([4, 1], d) for d in intro.vectors(DH)
         )
 
     def test_strictly_dominated_vector_has_no_witness(self):
@@ -168,8 +232,8 @@ class TestMergeScheme:
             result = merge_scheme(inst, scheme, DH)
             vectors = inst.vectors(DH)
             for model, w in result.witnesses.items():
-                mine = weighted_distance(w, vec_of(inst, DH, model))
-                assert mine == min(weighted_distance(w, d) for d in vectors)
+                mine = brute_score(w, vec_of(inst, DH, model))
+                assert mine == min(brute_score(w, d) for d in vectors)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_selected_models_are_never_strictly_dominated(self, seed):

@@ -21,11 +21,12 @@ from beliefmerge import (
     parse_formula,
     random_instance,
     realize,
-    weighted_distance,
 )
 from beliefmerge.errors import UnsatisfiableFormulaError
 from beliefmerge.formulae import TRUE, Or, formula_from_models
 from beliefmerge.postulates import product_scheme
+
+from oracles import brute_closest_pairs, brute_score
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
@@ -212,7 +213,7 @@ class TestIC8:
         assert [tuple(vecs[inst.model_index(m)]) for m in new] == [(0, 2)]
 
         # the narrowed instance really selects the dominated model at [2,1]
-        assert weighted_distance([2, 1], (0, 2)) == weighted_distance([2, 1], (1, 0))
+        assert brute_score([2, 1], (0, 2)) == brute_score([2, 1], (1, 0))
 
     def test_vacuous_when_restriction_misses_the_merge(self):
         inst = realize([[1, 0], [0, 1], [0, 2]])
@@ -240,6 +241,15 @@ class TestClosestPairs:
     def test_unsatisfiable_inputs_error(self):
         with pytest.raises(UnsatisfiableFormulaError):
             closest_pairs_merge(self.U2, parse_formula("x & !x", self.U2), TRUE)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_pairwise_loop(self, seed):
+        n = 1 + seed % 6
+        base = random_instance(n, 2, seed=1000 + seed)
+        f1, f2 = base.profile
+        assert closest_pairs_merge(base.universe, f1, f2) == brute_closest_pairs(
+            base.universe, f1, f2
+        )
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_expert_merge_on_random_pairs(self, seed):

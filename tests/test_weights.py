@@ -13,7 +13,6 @@ from beliefmerge import (
     dominates,
     expand_scheme,
     strictly_dominates,
-    weighted_distance,
 )
 from beliefmerge.weights import (
     as_weight_vector,
@@ -22,33 +21,7 @@ from beliefmerge.weights import (
     scheme_to_text,
 )
 
-
-class TestWeightedDistance:
-    def test_intro_weighted_row(self):
-        assert weighted_distance([2, 1], [3, 0]) == 6
-
-    def test_equal_weights_sum(self):
-        assert weighted_distance([1, 1], [1, 1]) == 2
-
-    def test_zero_vector(self):
-        assert weighted_distance([Fraction(7, 3), 5], [0, 0]) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_distance([1, 2], [1, 2, 3])
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.fractions(min_value=Fraction(1, 100), max_value=100), min_size=1, max_size=5),
-        st.data(),
-    )
-    def test_linearity(self, w, data):
-        m = len(w)
-        ints = st.lists(st.integers(min_value=0, max_value=50), min_size=m, max_size=m)
-        d1 = data.draw(ints)
-        d2 = data.draw(ints)
-        total = [a + b for a, b in zip(d1, d2)]
-        assert weighted_distance(w, total) == weighted_distance(w, d1) + weighted_distance(w, d2)
+from oracles import brute_score
 
 
 class TestDominance:
@@ -86,15 +59,15 @@ class TestDominance:
             )
         )
         if strictly_dominates(d1, d2):
-            assert weighted_distance(w, d1) < weighted_distance(w, d2)
+            assert brute_score(w, d1) < brute_score(w, d2)
 
     def test_scaling_preserves_argmin(self):
         vectors = [(3, 0), (1, 1), (0, 3), (2, 2)]
         w = as_weight_vector([2, 3])
         for c in (Fraction(1, 7), 2, Fraction(13, 5)):
             scaled = [wi * c for wi in w]
-            before = min(range(4), key=lambda i: weighted_distance(w, vectors[i]))
-            after = min(range(4), key=lambda i: weighted_distance(scaled, vectors[i]))
+            before = min(range(4), key=lambda i: brute_score(w, vectors[i]))
+            after = min(range(4), key=lambda i: brute_score(scaled, vectors[i]))
             assert before == after
 
 
