@@ -1,17 +1,10 @@
 """Exact merging of propositional belief bases under unknown source reliability."""
 
-from .distance import (
-    DistanceKind,
-    formula_distance,
-    model_distance,
-    profile_distance_vector,
-    subsat,
-)
+from .distance import DistanceKind
 from .formulae import (
     Formula,
     Model,
     Universe,
-    evaluate,
     formula_from_models,
     formula_to_text,
     models_of,
@@ -44,9 +37,7 @@ from .weights import (
     EqualWeights,
     ExpertWeights,
     ExplicitWeights,
-    dominates,
     expand_scheme,
-    strictly_dominates,
 )
 
 __version__ = "0.1.0"
@@ -71,11 +62,8 @@ __all__ = [
     "check_postulate",
     "closest_pairs_merge",
     "critical_weight_set",
-    "dominates",
-    "evaluate",
     "excluding_subset",
     "expand_scheme",
-    "formula_distance",
     "formula_from_models",
     "formula_to_text",
     "maxcons",
@@ -83,16 +71,12 @@ __all__ = [
     "merge_fixed",
     "merge_scheme",
     "minimal_for_some_positive",
-    "model_distance",
     "models_of",
     "multi_source_merge",
     "parse_formula",
-    "profile_distance_vector",
     "random_instance",
     "realize",
     "replicated_blocks",
-    "strictly_dominates",
-    "subsat",
     "undominated",
     "visible_hull",
 ]

@@ -1,9 +1,12 @@
-"""Model/model, model/formula and model/profile distances.
+"""Distance kinds and the distance from worlds to a formula.
 
 Every supported distance factors through the Hamming count of differing
 bits: drastic collapses it to {0, 1}, plain Hamming keeps it, and a
 remap table sends each count to an arbitrary value (subject to 0 -> 0
 and k > 0 -> positive, which preserve d(I, I) = 0 and d(I, J) > 0).
+``distances_to_bits`` computes one column of distances from candidate
+bitmasks to a formula's models; ``merge.Instance.distances`` stacks one
+column per profile entry into the instance's distance matrix.
 """
 
 from __future__ import annotations
@@ -13,18 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DistanceTableError,
-    UniverseMismatchError,
-    UnsatisfiableFormulaError,
-)
-from .formulae import (
-    DEFAULT_MAX_VARS,
-    Formula,
-    Model,
-    evaluate,
-    models_bits,
-)
+from .errors import DistanceTableError, UnsatisfiableFormulaError
 
 
 @dataclass(frozen=True)
@@ -91,12 +83,6 @@ class DistanceKind:
         return f"table[{body}{tail}]"
 
 
-def model_distance(kind: DistanceKind, i: Model, j: Model) -> int:
-    if i.universe != j.universe:
-        raise UniverseMismatchError("models belong to different universes")
-    return kind.mapped((i.bits ^ j.bits).bit_count())
-
-
 def distances_to_bits(
     kind: DistanceKind,
     cand_bits: np.ndarray,
@@ -110,29 +96,3 @@ def distances_to_bits(
             "distance to an unsatisfiable formula is undefined"
         )
     return _kernels.min_mapped_distance(cand_bits, target_bits, kind.table_array(n), n)
-
-
-def formula_distance(
-    kind: DistanceKind,
-    i: Model,
-    f: Formula,
-    max_vars: int = DEFAULT_MAX_VARS,
-) -> int:
-    """min over J |= f of model_distance(kind, i, J); 0 iff i |= f."""
-    bits = models_bits(f, i.universe, max_vars)
-    cand = np.array([i.bits], dtype=np.int64)
-    return int(distances_to_bits(kind, cand, bits, i.universe.n)[0])
-
-
-def profile_distance_vector(
-    kind: DistanceKind,
-    i: Model,
-    profile,
-    max_vars: int = DEFAULT_MAX_VARS,
-) -> tuple[int, ...]:
-    return tuple(formula_distance(kind, i, f, max_vars) for f in profile)
-
-
-def subsat(i: Model, profile) -> frozenset[int]:
-    """0-based indices of the profile entries satisfied by i."""
-    return frozenset(idx for idx, f in enumerate(profile) if evaluate(f, i))

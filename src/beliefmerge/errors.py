@@ -43,10 +43,6 @@ class InconsistentProfileError(BeliefMergeError):
         self.index = index
 
 
-class DegenerateLineError(BeliefMergeError):
-    """A line was requested through coincident points or with (a, b) = (0, 0)."""
-
-
 class GenerationError(BeliefMergeError):
     """Instance generation failed (retry exhaustion or self-check mismatch)."""
 

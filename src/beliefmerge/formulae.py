@@ -167,26 +167,6 @@ def disjunction(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-def evaluate(f: Formula, model: Model) -> bool:
-    """Standard propositional semantics of f in the given model."""
-    match f:
-        case Const(value):
-            return value
-        case Var(name):
-            return model.value(name)
-        case Not(g):
-            return not evaluate(g, model)
-        case And(a, b):
-            return evaluate(a, model) and evaluate(b, model)
-        case Or(a, b):
-            return evaluate(a, model) or evaluate(b, model)
-        case Implies(a, b):
-            return (not evaluate(a, model)) or evaluate(b, model)
-        case Iff(a, b):
-            return evaluate(a, model) == evaluate(b, model)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 def truth_table(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS) -> np.ndarray:
     """Boolean column of f over all 2^n assignments, in bitmask order."""
     n = universe.n

@@ -4,63 +4,22 @@ Each mu model becomes the point of its distance vector. Merging with
 all positive weights selects the part of the point set's lower-left
 convex chain that is visible from the origin; ties on a chain segment
 survive, points reachable only along the axis-parallel closing
-segments do not. Everything is integer or Fraction arithmetic, no
-epsilons anywhere.
+segments do not. Everything is exact integer arithmetic, no epsilons
+anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distance import DistanceKind
-from .errors import DegenerateLineError
 from .formulae import Model
 from .merge import Instance, distinct_front, undominated
 
 Point2 = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Line2:
-    """a*x + b*y + c = 0 with (a, b) != (0, 0)."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __init__(self, a, b, c):
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if a == 0 and b == 0:
-            raise DegenerateLineError("line needs (a, b) != (0, 0)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def eval_at(self, p: Point2) -> Fraction:
-        return self.a * p[0] + self.b * p[1] + self.c
-
-
-def line_through(p: Point2, q: Point2) -> Line2:
-    if p == q:
-        raise DegenerateLineError(f"no unique line through coincident points {p}")
-    a = q[1] - p[1]
-    b = p[0] - q[0]
-    return Line2(a, b, -(a * p[0] + b * p[1]))
-
-
-def separates_from_origin(line: Line2, p: Point2) -> bool:
-    """Strict sign test: points on the line are not separated, and a line
-    through the origin separates nothing."""
-    vp = line.eval_at(p)
-    v0 = line.c
-    if vp == 0 or v0 == 0:
-        return False
-    return (vp > 0) != (v0 > 0)
 
 
 def _cross(o: Point2, a: Point2, b: Point2) -> int:
@@ -91,12 +50,14 @@ def visible_hull(points: Iterable[Point2]) -> set[Point2]:
 def _excludes(p: Point2, j: Point2, k: Point2) -> bool:
     """Whether the mutually undominated pair (j, k) leaves p minimal for
     no positive weights: p strictly inside the pair's band and strictly
-    cut from the origin by the line through j and k."""
+    cut from the origin by the line through j and k. The cut is a strict
+    sign test: a point on the line, or a line through the origin, cuts
+    nothing."""
     if j[0] > k[0]:
         j, k = k, j
     if not (p[0] > j[0] and p[1] > k[1]):
         return False
-    return separates_from_origin(line_through(j, k), p)
+    return _cross(j, k, p) * _cross(j, k, (0, 0)) < 0
 
 
 def algorithm1(inst: Instance, kind: DistanceKind) -> frozenset[Model]:

@@ -128,6 +128,8 @@ def _from_dict(raw, path: str) -> InstanceFile:
         distance = parse_distance_spec(raw["distance"])
     scheme = None
     if "scheme" in raw:
+        if not isinstance(raw["scheme"], str):
+            raise InstanceFormatError(f"{path}: scheme must be a string")
         try:
             scheme = parse_scheme(raw["scheme"])
         except (ValueError, TypeError) as exc:

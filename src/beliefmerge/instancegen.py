@@ -15,8 +15,9 @@ from typing import Sequence
 
 from ._rng import Xoshiro256StarStar
 from .distance import DistanceKind
-from .errors import GenerationError
+from .errors import EnumerationLimitError, GenerationError
 from .formulae import (
+    DEFAULT_MAX_VARS,
     And,
     Formula,
     Iff,
@@ -42,7 +43,8 @@ def realize(vectors: Sequence[Sequence[int]], n: int | None = None) -> Instance:
     """Instance whose mu-model distance vectors are exactly ``vectors``.
 
     ``n`` is the per-block variable count; it defaults to the largest
-    entry (minimum 1). Uses n*m variables named xJ_I for block I.
+    entry (minimum 1). Uses n*m variables named xJ_I for block I, and
+    refuses more than the enumeration guard before building anything.
     """
     vecs = sorted({tuple(int(x) for x in v) for v in vectors})
     if not vecs:
@@ -57,6 +59,10 @@ def realize(vectors: Sequence[Sequence[int]], n: int | None = None) -> Instance:
         n = max(1, bound)
     elif bound > n:
         raise ValueError(f"entry {bound} exceeds the block size {n}")
+    if n * m > DEFAULT_MAX_VARS:
+        raise EnumerationLimitError(
+            f"universe would have {n * m} variables, enumeration guard is {DEFAULT_MAX_VARS}"
+        )
 
     names = [f"x{j}_{i}" for i in range(1, m + 1) for j in range(1, n + 1)]
     universe = Universe(names)
@@ -138,10 +144,3 @@ def random_instance(
     mu = consistent_draw()
     profile = [consistent_draw() for _ in range(m)]
     return Instance(universe, mu, profile)
-
-
-def verify_realization(inst: Instance, vectors: Sequence[Sequence[int]]) -> bool:
-    """Recompute the Hamming vectors of an instance against a vector set."""
-    want = sorted({tuple(v) for v in vectors})
-    got = sorted(inst.vectors(DistanceKind.hamming()))
-    return got == want

@@ -21,8 +21,8 @@ from .formulae import (
     Model,
     TRUE,
     Universe,
-    evaluate,
     models_bits,
+    truth_table,
 )
 from .merge import Instance, merge_scheme
 from .weights import (
@@ -63,7 +63,7 @@ def _fail(**witness) -> Verdict:
 
 def check_ic0(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """Every merged model satisfies the integrity constraints."""
-    bad = [m for m in _merged(cfg, inst) if not evaluate(inst.constraints, m)]
+    bad = [m for m in _merged(cfg, inst) if not inst.mu_table[m.bits]]
     return Verdict(True) if not bad else _fail(models=bad)
 
 
@@ -124,8 +124,7 @@ def check_ic4(cfg: OperatorConfig, inst: Instance) -> Verdict:
         if (table & ~inst.mu_table).any():
             raise ValueError(f"profile entry {idx + 1} does not entail the constraints")
     merged = _merged(cfg, inst)
-    with_f1 = any(evaluate(inst.profile[0], m) for m in merged)
-    with_f2 = any(evaluate(inst.profile[1], m) for m in merged)
+    with_f1, with_f2 = (any(t[m.bits] for m in merged) for t in inst.profile_tables)
     if with_f1 == with_f2:
         return Verdict(True)
     return _fail(merged=sorted(merged, key=lambda m: m.bits),
@@ -212,7 +211,8 @@ def check_ic6(
 def check_ic7(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """Restricting after merging never beats merging under the restriction."""
     merged = _merged(cfg, inst)
-    lhs = frozenset(m for m in merged if evaluate(mu_prime, m))
+    restriction = truth_table(mu_prime, inst.universe, inst.max_vars)
+    lhs = frozenset(m for m in merged if restriction[m.bits])
     try:
         narrowed = Instance(
             inst.universe, And(inst.constraints, mu_prime), inst.profile, inst.max_vars
@@ -228,7 +228,8 @@ def check_ic7(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict
 def check_ic8(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """The converse inclusion; fails for all-positive Hamming merging."""
     merged = _merged(cfg, inst)
-    lhs = frozenset(m for m in merged if evaluate(mu_prime, m))
+    restriction = truth_table(mu_prime, inst.universe, inst.max_vars)
+    lhs = frozenset(m for m in merged if restriction[m.bits])
     if not lhs:
         return Verdict(True, vacuous=True)
     narrowed = Instance(
@@ -319,7 +320,7 @@ def check_majority(
         raise ValueError("reps must be at least 1")
     inst = Instance(universe, TRUE, [f1] + [f2] * reps, max_vars)
     merged = _merged(cfg, inst)
-    stray = [m for m in merged if not evaluate(f2, m)]
+    stray = [m for m in merged if not inst.profile_tables[-1][m.bits]]
     if not stray:
         return Verdict(True)
     return _fail(models=sorted(stray, key=lambda m: m.bits))
@@ -331,9 +332,8 @@ def check_disjunctive(cfg: OperatorConfig, inst: Instance) -> Verdict:
         if not (table & inst.mu_table).any():
             return Verdict(True, vacuous=True)
     merged = _merged(cfg, inst)
-    stray = [
-        m for m in merged if not any(evaluate(f, m) for f in inst.profile)
-    ]
+    covered = np.logical_or.reduce(inst.profile_tables)
+    stray = [m for m in merged if not covered[m.bits]]
     if not stray:
         return Verdict(True)
     return _fail(models=sorted(stray, key=lambda m: m.bits))

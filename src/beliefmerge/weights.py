@@ -1,4 +1,4 @@
-"""Weight vectors, weight schemes and the dominance order.
+"""Weight vectors and weight schemes.
 
 Weights are strictly positive rationals internally. All comparisons the
 engine makes are homogeneous, so positive-rational feasibility agrees
@@ -25,18 +25,6 @@ def as_weight_vector(values: Sequence) -> WeightVector:
         if w <= 0:
             raise ValueError(f"weights must be strictly positive, got {w}")
     return out
-
-
-def dominates(d1: Sequence[int], d2: Sequence[int]) -> bool:
-    """Componentwise d1 <= d2 (reflexive)."""
-    if len(d1) != len(d2):
-        raise ValueError(f"length mismatch: {len(d1)} vs {len(d2)}")
-    return all(a <= b for a, b in zip(d1, d2))
-
-
-def strictly_dominates(d1: Sequence[int], d2: Sequence[int]) -> bool:
-    """Strict part of the dominance order: d1 <= d2 and d1 != d2."""
-    return dominates(d1, d2) and tuple(d1) != tuple(d2)
 
 
 # --- schemes ---------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything here recomputes results from first principles in plain
 Python, deliberately avoiding the package's kernels, LP and geometry so
-the two routes stay independent. Fourier-Motzkin elimination, which the
-package's integer simplex replaced, stays here as the differential
-oracle for lp.decide.
+the two routes stay independent. The recursive per-model ``evaluate`` is
+the reference for the package's truth tables, and Fourier-Motzkin
+elimination, which the package's integer simplex replaced, stays here as
+the differential oracle for lp.decide.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,45 @@ from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
-from beliefmerge import DistanceKind, Model, Universe, evaluate, models_of
-from beliefmerge.formulae import TRUE
+from beliefmerge import DistanceKind, Model, Universe, models_of
+from beliefmerge.formulae import TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
+
+
+def evaluate(f: Formula, model: Model) -> bool:
+    """Standard propositional semantics of f in the given model."""
+    match f:
+        case Const(value):
+            return value
+        case Var(name):
+            return model.value(name)
+        case Not(g):
+            return not evaluate(g, model)
+        case And(a, b):
+            return evaluate(a, model) and evaluate(b, model)
+        case Or(a, b):
+            return evaluate(a, model) or evaluate(b, model)
+        case Implies(a, b):
+            return (not evaluate(a, model)) or evaluate(b, model)
+        case Iff(a, b):
+            return evaluate(a, model) == evaluate(b, model)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def subsat(i: Model, profile) -> frozenset[int]:
+    """0-based indices of the profile entries satisfied by i."""
+    return frozenset(idx for idx, f in enumerate(profile) if evaluate(f, i))
+
+
+def dominates(d1: Sequence[int], d2: Sequence[int]) -> bool:
+    """Componentwise d1 <= d2 (reflexive)."""
+    if len(d1) != len(d2):
+        raise ValueError(f"length mismatch: {len(d1)} vs {len(d2)}")
+    return all(a <= b for a, b in zip(d1, d2))
+
+
+def strictly_dominates(d1: Sequence[int], d2: Sequence[int]) -> bool:
+    """Strict part of the dominance order: d1 <= d2 and d1 != d2."""
+    return dominates(d1, d2) and tuple(d1) != tuple(d2)
 
 
 def mapped_count(kind: DistanceKind, count: int) -> int:

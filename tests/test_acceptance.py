@@ -27,7 +27,6 @@ from beliefmerge import (
     check_postulate,
     closest_pairs_merge,
     critical_weight_set,
-    evaluate,
     excluding_subset,
     maxcons_disjunction,
     merge_fixed,

@@ -291,6 +291,7 @@ class TestExitCodes:
             '{"variables": ["x"], "constraints": "x", "profile": ["x"], "sources": [["x"]]}',
             '{"variables": ["x"], "constraints": "x & !x", "profile": ["x"]}',
             '{"variables": ["x"], "constraints": "x", "profile": ["x"], "scheme": "warp"}',
+            '{"variables":["a"],"constraints":"a","profile":["a"],"scheme":5}',
         ],
     )
     def test_malformed_instances_are_two(self, capsys, tmp_path, payload):
@@ -299,6 +300,7 @@ class TestExitCodes:
         code, _, err = run(capsys, "merge", "--instance", str(path))
         assert code == 2
         assert err.strip()
+        assert "Traceback" not in err
 
     def test_enumeration_guard_is_three(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

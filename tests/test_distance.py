@@ -1,28 +1,32 @@
+import numpy as np
 import pytest
 
 from beliefmerge import (
     DistanceKind,
+    Instance,
     Model,
     Universe,
-    evaluate,
-    formula_distance,
-    model_distance,
     models_of,
     parse_formula,
-    profile_distance_vector,
     random_instance,
     realize,
-    subsat,
 )
+from beliefmerge.distance import distances_to_bits
 from beliefmerge.errors import (
     DistanceTableError,
     UniverseMismatchError,
     UnsatisfiableFormulaError,
 )
-from beliefmerge.formulae import TRUE
-from beliefmerge.weights import dominates
+from beliefmerge.formulae import TRUE, models_bits
 
-from oracles import brute_formula_distance, brute_vector
+from oracles import (
+    brute_formula_distance,
+    brute_model_distance,
+    brute_vector,
+    dominates,
+    evaluate,
+    subsat,
+)
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
@@ -36,33 +40,34 @@ class TestModelDistance:
     def test_hamming_differs_on_two(self):
         i = Model(ABC, 0b101)  # {a, !b, c}
         j = Model(ABC, 0b000)  # {!a, !b, !c}
-        assert model_distance(DH, i, j) == 2
+        assert brute_model_distance(DH, i, j) == 2
 
     def test_drastic_identity(self):
         i = Model(ABC, 0b010)
-        assert model_distance(DD, i, i) == 0
+        assert brute_model_distance(DD, i, i) == 0
 
     def test_drastic_any_difference_is_one(self):
-        assert model_distance(DD, Model(ABC, 0), Model(ABC, 7)) == 1
+        assert brute_model_distance(DD, Model(ABC, 0), Model(ABC, 7)) == 1
 
     def test_rough_table_maps_three_bit_difference_to_two(self):
         u = Universe(["v1", "v2", "v3", "v4", "v5"])
         i = Model(u, 0b11100)
         j = Model(u, 0b00000)
-        assert model_distance(DS, i, j) == 2
+        assert brute_model_distance(DS, i, j) == 2
 
     def test_universe_mismatch(self):
+        inst = Instance(ABC, TRUE, [TRUE])
         with pytest.raises(UniverseMismatchError):
-            model_distance(DH, Model(ABC, 0), Model(Universe(["a", "b"]), 0))
+            inst.model_index(Model(Universe(["a", "b"]), 0))
 
     @pytest.mark.parametrize("kind", [DD, DH, DS])
     def test_identity_zero_and_positivity(self, kind):
         models = models_of(TRUE, ABC)
         for i in models:
-            assert model_distance(kind, i, i) == 0
+            assert brute_model_distance(kind, i, i) == 0
             for j in models:
                 if i != j:
-                    assert model_distance(kind, i, j) > 0
+                    assert brute_model_distance(kind, i, j) > 0
 
     @pytest.mark.parametrize("kind", [DD, DH])
     def test_triangle_inequality_exhaustive(self, kind):
@@ -70,15 +75,17 @@ class TestModelDistance:
         models = models_of(TRUE, u)
         for i in models:
             for j in models:
-                dij = model_distance(kind, i, j)
+                dij = brute_model_distance(kind, i, j)
                 for k in models:
-                    assert model_distance(kind, i, k) + model_distance(kind, k, j) >= dij
+                    via_k = brute_model_distance(kind, i, k) + brute_model_distance(kind, k, j)
+                    assert via_k >= dij
 
     def test_rough_table_breaks_triangle(self):
         # 5 differing bits cost 5 directly but 2+1 through a midpoint
         u = Universe(["v1", "v2", "v3", "v4", "v5"])
         i, j, k = Model(u, 0b11111), Model(u, 0b00000), Model(u, 0b00001)
-        assert model_distance(DS, i, j) > model_distance(DS, i, k) + model_distance(DS, k, j)
+        via_k = brute_model_distance(DS, i, k) + brute_model_distance(DS, k, j)
+        assert brute_model_distance(DS, i, j) > via_k
 
 
 class TestDistanceTables:
@@ -87,7 +94,7 @@ class TestDistanceTables:
         models = models_of(TRUE, ABC)
         for i in models:
             for j in models:
-                assert model_distance(DD, i, j) == model_distance(binary, i, j)
+                assert brute_model_distance(DD, i, j) == brute_model_distance(binary, i, j)
 
     def test_table_must_send_zero_to_zero(self):
         with pytest.raises(DistanceTableError):
@@ -109,58 +116,64 @@ class TestDistanceTables:
             partial.mapped(2)
 
 
+def _column(kind: DistanceKind, f, universe: Universe) -> np.ndarray:
+    """Distance from every world of the universe to f, in bitmask order."""
+    worlds = np.arange(1 << universe.n, dtype=np.int64)
+    return distances_to_bits(kind, worlds, models_bits(f, universe), universe.n)
+
+
 class TestFormulaDistance:
     def test_zero_iff_satisfying(self):
         f = parse_formula("a | b", ABC)
+        column = _column(DH, f, ABC)
         for m in models_of(TRUE, ABC):
-            d = formula_distance(DH, m, f)
-            assert (d == 0) == evaluate(f, m)
+            assert (column[m.bits] == 0) == evaluate(f, m)
 
     def test_conjunction_counts_false_variables(self):
         u = Universe(["x1", "x2", "x3"])
         f = parse_formula("x1 & x2 & x3", u)
         i = Model(u, 0b100)  # two of the three are false
-        assert formula_distance(DH, i, f) == 2
+        assert _column(DH, f, u)[i.bits] == 2
 
     def test_negative_conjunction_from_derived_oracle(self):
         u = Universe(["a", "b"])
         f = parse_formula("!a & !b", u)
         i = Model(u, 0b11)
         assert brute_formula_distance(DH, i, f) == 2
-        assert formula_distance(DH, i, f) == 2
+        assert _column(DH, f, u)[i.bits] == 2
 
     def test_unsatisfiable_formula_is_an_error(self):
         f = parse_formula("a & !a", ABC)
         with pytest.raises(UnsatisfiableFormulaError):
-            formula_distance(DH, Model(ABC, 0), f)
+            _column(DH, f, ABC)
 
     @pytest.mark.parametrize("kind", [DD, DH, DS])
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_brute_force(self, kind, seed):
         inst = random_instance(4, 3, seed=seed)
+        matrix = inst.distances(kind)
         for m in inst.mu_models():
-            for f in inst.profile:
-                assert formula_distance(kind, m, f) == brute_formula_distance(kind, m, f)
+            row = matrix[inst.model_index(m)]
+            for j, f in enumerate(inst.profile):
+                assert row[j] == brute_formula_distance(kind, m, f)
 
 
 class TestProfileDistanceVector:
     def test_intro_scenario_vectors(self):
         inst = realize([[3, 0], [1, 1], [0, 3]])
-        got = sorted(
-            profile_distance_vector(DH, m, inst.profile) for m in inst.mu_models()
-        )
-        assert got == [(0, 3), (1, 1), (3, 0)]
+        assert sorted(inst.vectors(DH)) == [(0, 3), (1, 1), (3, 0)]
 
     def test_all_satisfied_gives_zero_vector(self):
         profile = [parse_formula("a | b", ABC), parse_formula("c | !c", ABC)]
         i = Model(ABC, 0b110)
-        assert profile_distance_vector(DH, i, profile) == (0, 0)
+        inst = Instance(ABC, TRUE, profile)
+        assert inst.vectors(DH)[inst.model_index(i)] == (0, 0)
 
     def test_single_vector_realization_recomputed(self):
         inst = realize([[2, 2]], n=3)
         (model,) = inst.mu_models()
         assert brute_vector(DH, model, inst.profile) == (2, 2)
-        assert profile_distance_vector(DH, model, inst.profile) == (2, 2)
+        assert inst.vectors(DH) == ((2, 2),)
 
     def test_instance_vectors_match_per_model_computation(self):
         inst = random_instance(4, 3, seed=17)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefmerge import Model, Universe, evaluate, formula_to_text, models_of, parse_formula
+from beliefmerge import Model, Universe, formula_to_text, models_of, parse_formula
 from beliefmerge.errors import (
     EnumerationLimitError,
     FormulaSyntaxError,
@@ -21,6 +21,8 @@ from beliefmerge.formulae import (
     model_from_literals,
     truth_table,
 )
+
+from oracles import evaluate
 
 XY = Universe(["x", "y"])
 
@@ -172,12 +174,13 @@ class TestModelsOf:
         assert set(models_of(And(f, g), u)) == mf & mg
         assert set(models_of(Not(f), u)) == set(models_of(Const(True), u)) - mf
 
-    def test_table_matches_evaluate(self):
-        u = Universe(["a", "b", "c"])
-        f = parse_formula("(a -> b) <-> !c | a", u)
+    @settings(max_examples=150, deadline=None)
+    @given(_formulas(Universe(["a", "b", "c", "d"])))
+    def test_table_matches_evaluate(self, f):
+        u = Universe(["a", "b", "c", "d"])
         table = truth_table(f, u)
-        for m in models_of(Const(True), u):
-            assert bool(table[m.bits]) == evaluate(f, m)
+        for bits in range(1 << u.n):
+            assert bool(table[bits]) == evaluate(f, Model(u, bits))
 
 
 class TestFormulaFromModels:

@@ -14,8 +14,7 @@ from beliefmerge import (
     visible_hull,
 )
 from beliefmerge._rng import Xoshiro256StarStar
-from beliefmerge.errors import DegenerateLineError
-from beliefmerge.geometry2d import Line2, line_through, render_svg, separates_from_origin
+from beliefmerge.geometry2d import _excludes, render_svg
 
 from oracles import feasible, minimality_system
 
@@ -23,31 +22,27 @@ DH = DistanceKind.hamming()
 
 
 class TestSeparation:
+    """``_excludes(p, j, k)``: p strictly inside the band of the pair and
+    strictly cut from the origin by the line through j and k."""
+
     def test_cut_off_point_is_separated(self):
-        line = line_through((3, 0), (0, 3))
-        assert separates_from_origin(line, (2, 2))
+        assert _excludes((2, 2), (3, 0), (0, 3))
+        assert _excludes((2, 2), (0, 3), (3, 0))
 
     def test_inner_point_is_not_separated(self):
-        line = line_through((3, 0), (0, 3))
-        assert not separates_from_origin(line, (1, 1))
+        assert not _excludes((1, 1), (3, 0), (0, 3))
 
     def test_origin_is_never_separated(self):
-        line = line_through((3, 0), (0, 3))
-        assert not separates_from_origin(line, (0, 0))
+        assert not _excludes((0, 0), (3, 0), (0, 3))
 
     def test_point_on_the_line_is_not_separated(self):
-        line = line_through((3, 0), (0, 3))
-        assert not separates_from_origin(line, (1, 2))
+        assert not _excludes((1, 2), (3, 0), (0, 3))
+        assert not _excludes((2, 2), (1, 3), (3, 1))
 
     def test_line_through_origin_separates_nothing(self):
-        line = line_through((0, 0), (1, 1))
-        assert not separates_from_origin(line, (5, 1))
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateLineError):
-            Line2(0, 0, 1)
-        with pytest.raises(DegenerateLineError):
-            line_through((1, 1), (1, 1))
+        # the line through (-1, 1) and (1, -1) passes the origin; (5, 1)
+        # lies inside the band and off the line, yet nothing is cut
+        assert not _excludes((5, 1), (-1, 1), (1, -1))
 
 
 class TestVisibleHull:

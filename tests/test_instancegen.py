@@ -13,12 +13,19 @@ from beliefmerge import (
     replicated_blocks,
 )
 from beliefmerge._rng import Xoshiro256StarStar
-from beliefmerge.errors import GenerationError
-from beliefmerge.formulae import TRUE, evaluate
+from beliefmerge import instancegen
+from beliefmerge.errors import EnumerationLimitError, GenerationError
+from beliefmerge.formulae import TRUE
 from beliefmerge.instancefile import instance_payload, load_instance_file
-from beliefmerge.instancegen import verify_realization
 
-from oracles import LinConstraint, LinSystem, brute_vector, feasible, minimality_system
+from oracles import (
+    LinConstraint,
+    LinSystem,
+    brute_vector,
+    evaluate,
+    feasible,
+    minimality_system,
+)
 
 DH = DistanceKind.hamming()
 
@@ -52,7 +59,6 @@ class TestRealize:
             assert len(inst.mu_models()) == len(vectors)
             got = {brute_vector(DH, model, inst.profile) for model in inst.mu_models()}
             assert got == vectors
-            assert verify_realization(inst, vectors)
 
     def test_explicit_block_size(self):
         inst = realize([[1, 0]], n=4)
@@ -67,6 +73,16 @@ class TestRealize:
             realize([[-1]])
         with pytest.raises(ValueError):
             realize([[3]], n=2)
+
+    def test_enumeration_guard_trips_before_building(self, monkeypatch):
+        def refuse(names):
+            raise AssertionError("realize built a universe past the guard")
+
+        monkeypatch.setattr(instancegen, "Universe", refuse)
+        with pytest.raises(EnumerationLimitError):
+            realize([[25]])
+        with pytest.raises(EnumerationLimitError):
+            realize([[1, 0, 0]], n=9)
 
 
 class TestReplicatedBlocks:

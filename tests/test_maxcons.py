@@ -6,18 +6,16 @@ from beliefmerge import (
     Instance,
     Model,
     Universe,
-    evaluate,
     maxcons,
     maxcons_disjunction,
     merge_scheme,
     models_of,
     parse_formula,
     random_instance,
-    subsat,
 )
 from beliefmerge.formulae import TRUE, conjunction
 
-from oracles import brute_maxcons
+from oracles import brute_maxcons, subsat
 
 
 def _inst(names, mu_text, profile_texts):

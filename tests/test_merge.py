@@ -31,10 +31,15 @@ from beliefmerge.weights import (
     default_expert_weight,
     expand_scheme,
     parse_scheme,
-    strictly_dominates,
 )
 
-from oracles import brute_merge_fixed, brute_score, feasible, minimality_system
+from oracles import (
+    brute_merge_fixed,
+    brute_score,
+    feasible,
+    minimality_system,
+    strictly_dominates,
+)
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()

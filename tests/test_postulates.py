@@ -15,18 +15,24 @@ from beliefmerge import (
     check_majority,
     check_postulate,
     closest_pairs_merge,
-    evaluate,
     merge_scheme,
     models_of,
     parse_formula,
     random_instance,
     realize,
 )
-from beliefmerge.errors import UnsatisfiableFormulaError
-from beliefmerge.formulae import TRUE, Or, formula_from_models
-from beliefmerge.postulates import product_scheme
+from beliefmerge._rng import Xoshiro256StarStar
+from beliefmerge.errors import InconsistentConstraintsError, UnsatisfiableFormulaError
+from beliefmerge.formulae import TRUE, And, Or, formula_from_models
+from beliefmerge.postulates import (
+    check_ic0,
+    check_ic4,
+    check_ic7,
+    check_ic8,
+    product_scheme,
+)
 
-from oracles import brute_closest_pairs, brute_score
+from oracles import brute_closest_pairs, brute_score, evaluate
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
@@ -354,3 +360,80 @@ class TestVerdictShape:
         inst = random_instance(3, 2, seed=0)
         with pytest.raises(ValueError):
             check_postulate("ic9", _cfg(), inst)
+
+
+def _satisfying(models, f) -> set[Model]:
+    return {m for m in models if evaluate(f, m)}
+
+
+def _assert_verdict(verdict, stray, key="models"):
+    assert verdict.passed == (not stray)
+    if stray:
+        assert set(verdict.witness[key]) == set(stray)
+
+
+def _random_models_formula(rng, u, size):
+    """The disjunction of ``size`` seeded draws from the 2^n worlds."""
+    worlds = {rng.below(1 << u.n) for _ in range(size)}
+    return formula_from_models([Model(u, b) for b in worlds], u)
+
+
+def test_table_native_checkers_match_per_model_filter():
+    """Each checker that reads truth tables gives the verdict and witness
+    models that filtering the merged set with the per-model oracle gives.
+    Profile entries with one to three models make every failing branch
+    reachable on a few seeds."""
+    failures = dict.fromkeys(("ic4", "ic8", "majority", "disjunctive"), 0)
+    for seed in range(24):
+        rng = Xoshiro256StarStar(seed)
+        n = 3 + seed % 3
+        u = Universe([f"v{j}" for j in range(1, n + 1)])
+        mu = _random_models_formula(rng, u, 1 << (n - 1))
+        profile = [_random_models_formula(rng, u, 1 + rng.below(3)) for _ in range(2 + seed % 2)]
+        mu_prime = _random_models_formula(rng, u, 1 << (n - 1))
+        inst = Instance(u, mu, profile)
+        f1, f2 = profile[0], profile[1]
+        pair = Instance(u, Or(f1, f2), [f1, f2])
+        worlds = models_of(TRUE, u)
+        for kind in (DD, DH):
+            for scheme in (ALL, EqualWeights(), ExpertWeights()):
+                cfg = OperatorConfig(kind, scheme)
+                merged = merge_scheme(inst, scheme, kind).models
+
+                _assert_verdict(check_ic0(cfg, inst), merged - _satisfying(merged, mu))
+
+                lhs = _satisfying(merged, mu_prime)
+                try:
+                    narrowed = Instance(u, And(mu, mu_prime), profile)
+                    rhs = merge_scheme(narrowed, scheme, kind).models
+                except InconsistentConstraintsError:
+                    rhs = frozenset()
+                _assert_verdict(check_ic7(cfg, inst, mu_prime), lhs - rhs, "extra")
+                verdict = check_ic8(cfg, inst, mu_prime)
+                assert verdict.vacuous == (not lhs)
+                _assert_verdict(verdict, rhs - merged if lhs else set(), "new_models")
+                failures["ic8"] += not verdict.passed
+
+                majority = merge_scheme(Instance(u, TRUE, [f1, f2, f2]), scheme, kind).models
+                verdict = check_majority(cfg, u, f1, f2, 2)
+                _assert_verdict(verdict, majority - _satisfying(majority, f2))
+                failures["majority"] += not verdict.passed
+
+                verdict = check_disjunctive(cfg, inst)
+                conflict = any(not _satisfying(worlds, And(mu, f)) for f in profile)
+                assert verdict.vacuous == conflict
+                covered = set().union(*(_satisfying(merged, f) for f in profile))
+                _assert_verdict(verdict, merged - covered if not conflict else set())
+                failures["disjunctive"] += not verdict.passed
+
+            for scheme in (ALL, EqualWeights(), ExplicitWeights([[3, 1]])):
+                cfg = OperatorConfig(kind, scheme)
+                merged = merge_scheme(pair, scheme, kind).models
+                with_f1, with_f2 = (bool(_satisfying(merged, f)) for f in (f1, f2))
+                verdict = check_ic4(cfg, pair)
+                assert verdict.passed == (with_f1 == with_f2)
+                if not verdict.passed:
+                    assert verdict.witness["consistent_with"] == (1 if with_f1 else 2)
+                failures["ic4"] += not verdict.passed
+    # the seeds must reach the failing branches, not only the passing ones
+    assert all(failures.values()), failures

@@ -10,9 +10,7 @@ from beliefmerge import (
     EqualWeights,
     ExpertWeights,
     ExplicitWeights,
-    dominates,
     expand_scheme,
-    strictly_dominates,
 )
 from beliefmerge.weights import (
     as_weight_vector,
@@ -21,7 +19,7 @@ from beliefmerge.weights import (
     scheme_to_text,
 )
 
-from oracles import brute_score
+from oracles import brute_score, dominates, strictly_dominates
 
 
 class TestDominance:
