@@ -17,7 +17,7 @@ from .errors import (
     EnumerationLimitError,
     InstanceFormatError,
 )
-from .formulae import Model, Not, Or, parse_formula
+from .formulae import TRUE, Model, Not, Or, parse_formula
 from .geometry2d import render_svg
 from .instancefile import (
     instance_payload,
@@ -28,15 +28,7 @@ from .instancefile import (
 from .instancegen import random_instance, realize, replicated_blocks
 from .maxcons import maxcons, maxcons_disjunction
 from .merge import Instance, MergeResult, merge_scheme, multi_source_merge
-from .postulates import (
-    OperatorConfig,
-    Verdict,
-    check_arbitration_duplicate,
-    check_disjunctive,
-    check_majority,
-    check_postulate,
-    closest_pairs_merge,
-)
+from .postulates import OperatorConfig, Verdict, check_postulate, closest_pairs_merge
 from .weights import AllPositiveWeights, parse_scheme, scheme_to_text
 
 POSTULATES = [f"ic{i}" for i in range(9)] + ["majority", "arbitration", "disjunctive"]
@@ -207,7 +199,7 @@ def _cmd_closest_pairs(args) -> int:
     if spec.profile is None or len(spec.profile) != 2:
         raise InstanceFormatError("closest-pairs needs a profile of exactly two formulae")
     models = _sorted_models(
-        closest_pairs_merge(spec.universe, spec.profile[0], spec.profile[1])
+        closest_pairs_merge(Instance(spec.universe, TRUE, spec.profile))
     )
     if args.json:
         _emit(_json_dump({"models": [list(m.literals()) for m in models]}), args.out)
@@ -247,20 +239,11 @@ def _suite_verdict(postulate: str, cfg: OperatorConfig, rng, reps: int) -> Verdi
         inst = random_instance(n, 1 + rng.below(3), seed)
         aux = random_instance(n, 1, rng.next64())
         return check_postulate(postulate, cfg, inst, mu_prime=aux.constraints)
-    if postulate == "ic3":
-        inst = random_instance(n, 1 + rng.below(3), seed)
-        return check_postulate(postulate, cfg, inst, other=_doubled_negation(inst))
     if postulate == "majority":
-        base = random_instance(n, 2, seed)
-        return check_majority(cfg, base.universe, base.profile[0], base.profile[1], reps)
-    if postulate == "disjunctive":
-        inst = random_instance(n, 1 + rng.below(3), seed)
-        return check_disjunctive(cfg, inst)
-    if postulate == "arbitration":
-        inst = random_instance(n, 1 + rng.below(3), seed)
-        return check_arbitration_duplicate(cfg, inst)
+        return check_postulate(postulate, cfg, random_instance(n, 2, seed), reps=reps)
     inst = random_instance(n, 1 + rng.below(3), seed)
-    return check_postulate(postulate, cfg, inst)
+    other = _doubled_negation(inst) if postulate == "ic3" else None
+    return check_postulate(postulate, cfg, inst, other=other)
 
 
 def _doubled_negation(inst: Instance) -> Instance:
@@ -269,7 +252,6 @@ def _doubled_negation(inst: Instance) -> Instance:
         inst.universe,
         Not(Not(inst.constraints)),
         [Not(Not(f)) for f in inst.profile],
-        inst.max_vars,
     )
 
 
@@ -286,28 +268,19 @@ def _cmd_check(args) -> int:
         mu_prime = (
             parse_formula(args.mu_prime, spec.universe) if args.mu_prime else None
         )
-        if postulate == "majority":
-            if len(spec.profile or ()) != 2:
-                raise InstanceFormatError("majority needs a two-formula profile")
-            verdicts.append(
-                check_majority(
-                    cfg, spec.universe, spec.profile[0], spec.profile[1], args.reps
-                )
+        if postulate == "majority" and len(spec.profile or ()) != 2:
+            raise InstanceFormatError("majority needs a two-formula profile")
+        verdicts.append(
+            check_postulate(
+                postulate,
+                cfg,
+                inst,
+                other=_doubled_negation(inst) if postulate == "ic3" else None,
+                mu_prime=mu_prime,
+                split=args.split,
+                reps=args.reps,
             )
-        elif postulate == "disjunctive":
-            verdicts.append(check_disjunctive(cfg, inst))
-        elif postulate == "arbitration":
-            verdicts.append(check_arbitration_duplicate(cfg, inst))
-        elif postulate == "ic3":
-            verdicts.append(
-                check_postulate(postulate, cfg, inst, other=_doubled_negation(inst))
-            )
-        else:
-            verdicts.append(
-                check_postulate(
-                    postulate, cfg, inst, mu_prime=mu_prime, split=args.split
-                )
-            )
+        )
     if args.suite:
         rng = Xoshiro256StarStar(args.seed)
         for _ in range(args.suite):

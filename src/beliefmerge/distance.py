@@ -11,6 +11,7 @@ column per profile entry into the instance's distance matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ class DistanceKind:
 
     ``pairs`` lists (count, value) with strictly increasing counts;
     ``default`` applies to counts above the last key (None = undefined,
-    an error if such a count comes up).
+    an error if such a count comes up). Counts and values are integers.
     """
 
     name: str
@@ -42,7 +43,9 @@ class DistanceKind:
 
     @classmethod
     def from_table(cls, pairs, default: int | None = None) -> "DistanceKind":
-        pairs = tuple((int(k), int(v)) for k, v in pairs)
+        """Table kind from (count, value) pairs; every key, value and the
+        default must be an integer (TypeError otherwise, floats included)."""
+        pairs = tuple((operator.index(k), operator.index(v)) for k, v in pairs)
         if not pairs or pairs[0] != (0, 0):
             raise DistanceTableError("table must start with the pair [0, 0]")
         last = -1
@@ -52,8 +55,10 @@ class DistanceKind:
             last = k
             if k > 0 and v <= 0:
                 raise DistanceTableError(f"table value for count {k} must be positive")
-        if default is not None and default <= 0:
-            raise DistanceTableError("table default must be positive")
+        if default is not None:
+            default = operator.index(default)
+            if default <= 0:
+                raise DistanceTableError("table default must be positive")
         return cls("table", pairs, default)
 
     def mapped(self, count: int) -> int:

@@ -3,7 +3,8 @@
 Formulae are immutable ASTs; a model is one total truth assignment,
 packed as a bitmask keyed by universe order. Everything here works by
 exhaustive enumeration over the 2^n assignments, which is the intended
-contract at desk scale (guarded by ``max_vars``).
+contract at desk scale: ``truth_table`` refuses a universe of more than
+``MAX_VARS`` variables before it allocates anything.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     UnknownVariableError,
 )
 
-DEFAULT_MAX_VARS = 24
+MAX_VARS = 24
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"true", "false"})
@@ -63,9 +64,6 @@ class Universe:
             return self._index[name]
         except KeyError:
             raise UnknownVariableError(name) from None
-
-    def model(self, bits: int) -> "Model":
-        return Model(self, bits)
 
 
 @dataclass(frozen=True)
@@ -167,12 +165,12 @@ def disjunction(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-def truth_table(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS) -> np.ndarray:
+def truth_table(f: Formula, universe: Universe) -> np.ndarray:
     """Boolean column of f over all 2^n assignments, in bitmask order."""
     n = universe.n
-    if n > max_vars:
+    if n > MAX_VARS:
         raise EnumerationLimitError(
-            f"universe has {n} variables, enumeration guard is {max_vars}"
+            f"universe has {n} variables, enumeration guard is {MAX_VARS}"
         )
     idx = np.arange(1 << n, dtype=np.uint32)
 
@@ -203,18 +201,18 @@ def table_bits(table: np.ndarray) -> np.ndarray:
     return np.flatnonzero(table).astype(np.int64, copy=False)
 
 
-def models_bits(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS) -> np.ndarray:
+def models_bits(f: Formula, universe: Universe) -> np.ndarray:
     """Satisfying bitmasks as a sorted int64 array (kernel-ready form)."""
-    return table_bits(truth_table(f, universe, max_vars))
+    return table_bits(truth_table(f, universe))
 
 
-def models_of(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS) -> tuple[Model, ...]:
+def models_of(f: Formula, universe: Universe) -> tuple[Model, ...]:
     """All satisfying assignments, in lexicographic bit order."""
-    return tuple(Model(universe, int(b)) for b in models_bits(f, universe, max_vars))
+    return tuple(Model(universe, int(b)) for b in models_bits(f, universe))
 
 
-def satisfiable(f: Formula, universe: Universe, max_vars: int = DEFAULT_MAX_VARS) -> bool:
-    return bool(truth_table(f, universe, max_vars).any())
+def satisfiable(f: Formula, universe: Universe) -> bool:
+    return bool(truth_table(f, universe).any())
 
 
 def model_from_literals(literals: Iterable[str], universe: Universe) -> Model:

@@ -10,6 +10,7 @@ anywhere.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -66,9 +67,11 @@ def algorithm1(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
     First removes the strictly dominated models (one pass suffices:
     strict dominance is transitive, so a front vector dominates every
     dominated one), then removes every model excluded by some pair of
-    the remaining ones, to a fixpoint. The survivors are exactly the
-    all-positive-weights merge (cross-checked against the LP route in
-    the test suite).
+    the remaining ones. One pass over the pairs suffices too: whether a
+    pair excludes a point depends only on the three points, and a second
+    pass would only see a subset of the first pass's pairs. The
+    survivors are exactly the all-positive-weights merge (cross-checked
+    against the LP route in the test suite).
     """
     if inst.m != 2:
         raise ValueError("the geometric algorithm applies to two-formula profiles only")
@@ -77,27 +80,12 @@ def algorithm1(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
         (model, tuple(matrix[inst.model_index(model)].tolist()))
         for model in undominated(inst, kind)
     ]
-
-    changed = True
-    while changed:
-        changed = False
-        points = sorted({vec for _, vec in entries})
-        for model, vec in list(entries):
-            hit = False
-            for a in range(len(points)):
-                for b in range(a + 1, len(points)):
-                    j, k = points[a], points[b]
-                    if j == vec or k == vec:
-                        continue
-                    if _excludes(vec, j, k):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                entries.remove((model, vec))
-                changed = True
-    return frozenset(model for model, _ in entries)
+    pairs = list(combinations(sorted({vec for _, vec in entries}), 2))
+    return frozenset(
+        model
+        for model, vec in entries
+        if not any(vec not in (j, k) and _excludes(vec, j, k) for j, k in pairs)
+    )
 
 
 def critical_weight_set(points: Iterable[Point2]) -> list[tuple[int, ...]]:

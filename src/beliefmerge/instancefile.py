@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .distance import DistanceKind
 from .errors import DistanceTableError, InstanceFormatError
-from .formulae import DEFAULT_MAX_VARS, Formula, Universe, formula_to_text, parse_formula
+from .formulae import Formula, Universe, formula_to_text, parse_formula
 from .merge import Instance
 from .weights import WeightScheme, parse_scheme, scheme_to_text
 
@@ -37,11 +37,11 @@ class InstanceFile:
     distance: DistanceKind | None
     scheme: WeightScheme | None
 
-    def instance(self, max_vars: int = DEFAULT_MAX_VARS) -> Instance:
+    def instance(self) -> Instance:
         if self.profile is not None:
-            return Instance(self.universe, self.constraints, self.profile, max_vars)
+            return Instance(self.universe, self.constraints, self.profile)
         flat = [f for s in self.sources for f in s]
-        return Instance(self.universe, self.constraints, flat, max_vars)
+        return Instance(self.universe, self.constraints, flat)
 
 
 def parse_distance_spec(spec) -> DistanceKind:

@@ -17,7 +17,7 @@ from ._rng import Xoshiro256StarStar
 from .distance import DistanceKind
 from .errors import EnumerationLimitError, GenerationError
 from .formulae import (
-    DEFAULT_MAX_VARS,
+    MAX_VARS,
     And,
     Formula,
     Iff,
@@ -36,6 +36,7 @@ BLOCK_VECTORS = ((3, 0), (1, 1), (0, 3))  # one block of the exponential constru
 
 RANDOM_MAX_VARS = 12
 RANDOM_MAX_FORMULAE = 5
+RANDOM_DENSITY = Fraction(2, 3)  # chance that a node below the depth cap branches
 _RETRIES = 200
 
 
@@ -59,9 +60,9 @@ def realize(vectors: Sequence[Sequence[int]], n: int | None = None) -> Instance:
         n = max(1, bound)
     elif bound > n:
         raise ValueError(f"entry {bound} exceeds the block size {n}")
-    if n * m > DEFAULT_MAX_VARS:
+    if n * m > MAX_VARS:
         raise EnumerationLimitError(
-            f"universe would have {n * m} variables, enumeration guard is {DEFAULT_MAX_VARS}"
+            f"universe would have {n * m} variables, enumeration guard is {MAX_VARS}"
         )
 
     names = [f"x{j}_{i}" for i in range(1, m + 1) for j in range(1, n + 1)]
@@ -102,25 +103,20 @@ def replicated_blocks(k: int) -> Instance:
     return realize(vectors, n=3)
 
 
-def _random_formula(rng: Xoshiro256StarStar, universe: Universe, density: Fraction, depth: int) -> Formula:
-    if depth == 0 or not rng.chance(density):
+def _random_formula(rng: Xoshiro256StarStar, universe: Universe, depth: int) -> Formula:
+    if depth == 0 or not rng.chance(RANDOM_DENSITY):
         var = Var(universe.variables[rng.below(universe.n)])
         return Not(var) if rng.chance(Fraction(1, 2)) else var
     op = rng.below(4)
-    left = _random_formula(rng, universe, density, depth - 1)
-    right = _random_formula(rng, universe, density, depth - 1)
+    left = _random_formula(rng, universe, depth - 1)
+    right = _random_formula(rng, universe, depth - 1)
     return (And, Or, Implies, Iff)[op](left, right)
 
 
-def random_instance(
-    n: int,
-    m: int,
-    seed: int,
-    density: Fraction = Fraction(2, 3),
-) -> Instance:
+def random_instance(n: int, m: int, seed: int) -> Instance:
     """Seeded random instance with consistent mu and profile entries.
 
-    Same (n, m, seed, density) always yields the identical instance; the
+    Same (n, m, seed) always yields the identical instance; the
     stream is pinned to xoshiro256** so seeds survive reimplementation.
     Unsatisfiable draws are resampled, up to a bounded retry count.
     """
@@ -128,15 +124,12 @@ def random_instance(
         raise ValueError(f"n must be in 1..{RANDOM_MAX_VARS}")
     if not 1 <= m <= RANDOM_MAX_FORMULAE:
         raise ValueError(f"m must be in 1..{RANDOM_MAX_FORMULAE}")
-    density = Fraction(density)
-    if not 0 <= density <= 1:
-        raise ValueError("density must be within [0, 1]")
     rng = Xoshiro256StarStar(seed)
     universe = Universe([f"v{j}" for j in range(1, n + 1)])
 
     def consistent_draw() -> Formula:
         for _ in range(_RETRIES):
-            f = _random_formula(rng, universe, density, depth=3)
+            f = _random_formula(rng, universe, depth=3)
             if satisfiable(f, universe):
                 return f
         raise GenerationError(f"no consistent formula after {_RETRIES} draws")

@@ -27,21 +27,8 @@ from .errors import (
     InconsistentProfileError,
     UniverseMismatchError,
 )
-from .formulae import (
-    DEFAULT_MAX_VARS,
-    Formula,
-    Model,
-    Universe,
-    table_bits,
-    truth_table,
-)
-from .weights import (
-    ExpertWeights,
-    ExplicitWeights,
-    WeightScheme,
-    default_expert_weight,
-    expand_scheme,
-)
+from .formulae import Formula, Model, Universe, table_bits, truth_table
+from .weights import ExplicitWeights, WeightScheme, expand_scheme
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -59,11 +46,7 @@ class Instance:
     """
 
     def __init__(
-        self,
-        universe: Universe,
-        constraints: Formula,
-        profile: Sequence[Formula],
-        max_vars: int = DEFAULT_MAX_VARS,
+        self, universe: Universe, constraints: Formula, profile: Sequence[Formula]
     ):
         profile = tuple(profile)
         if not profile:
@@ -71,15 +54,14 @@ class Instance:
         self.universe = universe
         self.constraints = constraints
         self.profile = profile
-        self.max_vars = max_vars
 
-        self.mu_table = _read_only(truth_table(constraints, universe, max_vars))
+        self.mu_table = _read_only(truth_table(constraints, universe))
         self._mu_bits = table_bits(self.mu_table)
         if self._mu_bits.shape[0] == 0:
             raise InconsistentConstraintsError("integrity constraints are unsatisfiable")
         tables, self._entry_bits = [], []
         for idx, f in enumerate(profile):
-            table = _read_only(truth_table(f, universe, max_vars))
+            table = _read_only(truth_table(f, universe))
             bits = table_bits(table)
             if bits.shape[0] == 0:
                 raise InconsistentProfileError(idx)
@@ -181,12 +163,6 @@ def minimal_for_some_positive(
     return lp.decide(d_i, [e for e in rows[front].tolist() if e != d_i])[0]
 
 
-def _resolve(scheme: WeightScheme, kind: DistanceKind, n: int, m: int) -> WeightScheme:
-    if isinstance(scheme, ExpertWeights) and scheme.a is None:
-        return ExpertWeights(default_expert_weight(kind, n, m))
-    return scheme
-
-
 def _argmin_merge(inst: Instance, matrix: np.ndarray, vectors) -> MergeResult:
     """Rows minimal under at least one weight vector, each with the
     integer form of the first vector that selects it."""
@@ -225,8 +201,7 @@ def _lp_merge(inst: Instance, matrix: np.ndarray) -> MergeResult:
 def _scheme_merge(
     inst: Instance, matrix: np.ndarray, scheme: WeightScheme, kind: DistanceKind
 ) -> MergeResult:
-    m = matrix.shape[1]
-    vectors = expand_scheme(_resolve(scheme, kind, inst.universe.n, m), m)
+    vectors = expand_scheme(scheme, kind, inst.universe.n, matrix.shape[1])
     if vectors is None:
         return _lp_merge(inst, matrix)
     return _argmin_merge(inst, matrix, vectors)
@@ -270,7 +245,6 @@ def multi_source_merge(
     sources: Sequence[Sequence[Formula]],
     scheme: WeightScheme,
     kind: DistanceKind,
-    max_vars: int = DEFAULT_MAX_VARS,
 ) -> MergeResult:
     """Merge sources that each provide a set of formulae.
 
@@ -282,7 +256,7 @@ def multi_source_merge(
     sources = [tuple(s) for s in sources]
     if not sources or any(not s for s in sources):
         raise ValueError("each source must provide at least one formula")
-    inst = Instance(universe, constraints, [f for s in sources for f in s], max_vars)
+    inst = Instance(universe, constraints, [f for s in sources for f in s])
     # 0/1 matrix sending each flat formula's column to its source's column
     to_source = np.repeat(
         np.eye(len(sources), dtype=np.int64), [len(s) for s in sources], axis=0

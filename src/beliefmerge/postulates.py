@@ -13,26 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from .distance import DistanceKind, distances_to_bits
-from .errors import InconsistentConstraintsError, UnsatisfiableFormulaError
-from .formulae import (
-    DEFAULT_MAX_VARS,
-    And,
-    Formula,
-    Model,
-    TRUE,
-    Universe,
-    models_bits,
-    truth_table,
-)
+from .errors import InconsistentConstraintsError
+from .formulae import And, Formula, Model, TRUE, Universe, table_bits, truth_table
 from .merge import Instance, merge_scheme
-from .weights import (
-    AllPositiveWeights,
-    ExpertWeights,
-    ExplicitWeights,
-    WeightScheme,
-    default_expert_weight,
-    expand_scheme,
-)
+from .weights import AllPositiveWeights, ExplicitWeights, WeightScheme, expand_scheme
 
 @dataclass(frozen=True)
 class OperatorConfig:
@@ -146,12 +130,8 @@ def product_scheme(
     """
     if isinstance(left, AllPositiveWeights) and isinstance(right, AllPositiveWeights):
         return AllPositiveWeights()
-    if isinstance(left, ExpertWeights) and left.a is None:
-        left = ExpertWeights(default_expert_weight(kind, n, k_left))
-    if isinstance(right, ExpertWeights) and right.a is None:
-        right = ExpertWeights(default_expert_weight(kind, n, k_right))
-    lv = expand_scheme(left, k_left)
-    rv = expand_scheme(right, k_right)
+    lv = expand_scheme(left, kind, n, k_left)
+    rv = expand_scheme(right, kind, n, k_right)
     if lv is None or rv is None:
         raise ValueError("cannot mix the all-positive scheme with a finite one in a product")
     return ExplicitWeights([a + b for a in lv for b in rv])
@@ -166,8 +146,8 @@ def _split_check(
 ):
     if not 1 <= split < inst.m:
         raise ValueError(f"split must be in 1..{inst.m - 1}")
-    left = Instance(inst.universe, inst.constraints, inst.profile[:split], inst.max_vars)
-    right = Instance(inst.universe, inst.constraints, inst.profile[split:], inst.max_vars)
+    left = Instance(inst.universe, inst.constraints, inst.profile[:split])
+    right = Instance(inst.universe, inst.constraints, inst.profile[split:])
     combined_scheme = product_scheme(
         scheme_left, scheme_right, split, inst.m - split, kind, inst.universe.n
     )
@@ -211,12 +191,10 @@ def check_ic6(
 def check_ic7(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """Restricting after merging never beats merging under the restriction."""
     merged = _merged(cfg, inst)
-    restriction = truth_table(mu_prime, inst.universe, inst.max_vars)
+    restriction = truth_table(mu_prime, inst.universe)
     lhs = frozenset(m for m in merged if restriction[m.bits])
     try:
-        narrowed = Instance(
-            inst.universe, And(inst.constraints, mu_prime), inst.profile, inst.max_vars
-        )
+        narrowed = Instance(inst.universe, And(inst.constraints, mu_prime), inst.profile)
     except InconsistentConstraintsError:
         return Verdict(not lhs, vacuous=not lhs)
     rhs = _merged(cfg, narrowed)
@@ -228,13 +206,11 @@ def check_ic7(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict
 def check_ic8(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """The converse inclusion; fails for all-positive Hamming merging."""
     merged = _merged(cfg, inst)
-    restriction = truth_table(mu_prime, inst.universe, inst.max_vars)
+    restriction = truth_table(mu_prime, inst.universe)
     lhs = frozenset(m for m in merged if restriction[m.bits])
     if not lhs:
         return Verdict(True, vacuous=True)
-    narrowed = Instance(
-        inst.universe, And(inst.constraints, mu_prime), inst.profile, inst.max_vars
-    )
+    narrowed = Instance(inst.universe, And(inst.constraints, mu_prime), inst.profile)
     rhs = _merged(cfg, narrowed)
     if rhs <= merged:
         return Verdict(True)
@@ -252,8 +228,14 @@ def check_postulate(
     split: int | None = None,
     scheme_left: WeightScheme | None = None,
     scheme_right: WeightScheme | None = None,
+    reps: int | None = None,
 ) -> Verdict:
-    """Dispatch a postulate id to its checker, validating the aux inputs."""
+    """Dispatch a postulate id to its checker, validating the aux inputs.
+
+    Besides ic0..ic8 it routes ``majority`` (the two-formula profile F1,
+    F2 with F2 repeated ``reps`` times), ``disjunctive`` and
+    ``arbitration``.
+    """
     postulate = postulate.lower()
     if postulate == "ic0":
         return check_ic0(cfg, inst)
@@ -279,32 +261,42 @@ def check_postulate(
             raise ValueError(f"{postulate} needs the extra constraint mu'")
         fn = check_ic7 if postulate == "ic7" else check_ic8
         return fn(cfg, inst, mu_prime)
+    if postulate == "majority":
+        if inst.m != 2:
+            raise ValueError("majority is stated for two-formula profiles")
+        if reps is None:
+            raise ValueError("majority needs a repetition count")
+        return check_majority(cfg, inst.universe, *inst.profile, reps)
+    if postulate == "disjunctive":
+        return check_disjunctive(cfg, inst)
+    if postulate == "arbitration":
+        return check_arbitration_duplicate(cfg, inst)
     raise ValueError(f"unknown postulate {postulate!r}")
 
 
 # --- beyond IC0-IC8 --------------------------------------------------------
 
 
-def closest_pairs_merge(
-    universe: Universe,
-    f1: Formula,
-    f2: Formula,
-    max_vars: int = DEFAULT_MAX_VARS,
-) -> frozenset[Model]:
-    """Arbitration by closest pairs: all models appearing in some pair of
-    (Mod(f1) x Mod(f2)) of minimal Hamming distance."""
-    b1 = models_bits(f1, universe, max_vars)
-    b2 = models_bits(f2, universe, max_vars)
-    if not b1.size or not b2.size:
-        raise UnsatisfiableFormulaError("closest pairs need satisfiable formulae")
+def closest_pairs_merge(inst: Instance) -> frozenset[Model]:
+    """Arbitration by closest pairs over a two-formula profile F1, F2: all
+    models appearing in some pair of (Mod(F1) x Mod(F2)) of minimal
+    Hamming distance.
+
+    Reads the instance's profile tables; the constraints play no part.
+    Both entries are satisfiable, because Instance rejects any other.
+    """
+    if inst.m != 2:
+        raise ValueError("closest pairs are stated for two-formula profiles")
+    b1, b2 = (table_bits(t) for t in inst.profile_tables)
     # a model is in some closest pair iff its distance to the other
     # formula is the global minimum
+    n = inst.universe.n
     hamming = DistanceKind.hamming()
-    d1 = distances_to_bits(hamming, b1, b2, universe.n)
-    d2 = distances_to_bits(hamming, b2, b1, universe.n)
+    d1 = distances_to_bits(hamming, b1, b2, n)
+    d2 = distances_to_bits(hamming, b2, b1, n)
     best = d1.min()
     chosen = np.concatenate([b1[d1 == best], b2[d2 == best]])
-    return frozenset(Model(universe, b) for b in chosen.tolist())
+    return frozenset(Model(inst.universe, b) for b in chosen.tolist())
 
 
 def check_majority(
@@ -313,12 +305,11 @@ def check_majority(
     f1: Formula,
     f2: Formula,
     reps: int,
-    max_vars: int = DEFAULT_MAX_VARS,
 ) -> Verdict:
     """Whether repeating f2 ``reps`` times forces the merge to entail it."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    inst = Instance(universe, TRUE, [f1] + [f2] * reps, max_vars)
+    inst = Instance(universe, TRUE, [f1] + [f2] * reps)
     merged = _merged(cfg, inst)
     stray = [m for m in merged if not inst.profile_tables[-1][m.bits]]
     if not stray:
@@ -344,10 +335,7 @@ def check_arbitration_duplicate(cfg: OperatorConfig, inst: Instance) -> Verdict:
     if not isinstance(cfg.scheme, AllPositiveWeights):
         raise ValueError("duplicate invariance is only claimed for the all-positive scheme")
     doubled = Instance(
-        inst.universe,
-        inst.constraints,
-        list(inst.profile) + [inst.profile[-1]],
-        inst.max_vars,
+        inst.universe, inst.constraints, list(inst.profile) + [inst.profile[-1]]
     )
     a = _merged(cfg, inst)
     b = _merged(cfg, doubled)

@@ -72,18 +72,17 @@ WeightScheme = Union[EqualWeights, ExpertWeights, AllPositiveWeights, ExplicitWe
 
 
 def default_expert_weight(kind: DistanceKind, n: int, m: int) -> int:
-    """Expert weight large enough to overrule all other sources combined."""
-    if kind.name == "drastic":
-        return m + 1
-    if kind.name == "hamming":
-        return n * m + 1
-    # remapped distance: bound the codomain over realizable counts
-    bound = max(kind.mapped(h) for h in range(n + 1))
-    return bound * m + 1
+    """Expert weight large enough to overrule all other sources combined:
+    m times the largest distance over n variables, plus one."""
+    return max(kind.mapped(h) for h in range(n + 1)) * m + 1
 
 
-def expand_scheme(scheme: WeightScheme, m: int) -> list[WeightVector] | None:
-    """Finite vector list of a scheme, or None for the symbolic all-positive set."""
+def expand_scheme(
+    scheme: WeightScheme, kind: DistanceKind, n: int, m: int
+) -> list[WeightVector] | None:
+    """Finite vector list of a scheme over m sources, or None for the
+    symbolic all-positive set. An expert scheme without a weight takes
+    ``default_expert_weight(kind, n, m)``."""
     if m < 1:
         raise ValueError("profile length must be at least 1")
     match scheme:
@@ -91,7 +90,7 @@ def expand_scheme(scheme: WeightScheme, m: int) -> list[WeightVector] | None:
             return [as_weight_vector([1] * m)]
         case ExpertWeights(a):
             if a is None:
-                raise ValueError("expert weight not resolved; supply a or merge via an Instance")
+                a = default_expert_weight(kind, n, m)
             return [
                 as_weight_vector([a if j == i else 1 for j in range(m)])
                 for i in range(m)
@@ -118,9 +117,12 @@ def parse_scheme(text: str) -> WeightScheme:
         return ExpertWeights(int(text.split(":", 1)[1]))
     if text.startswith("list:"):
         body = text.split(":", 1)[1]
-        vectors = []
-        for part in body.split(";"):
-            vectors.append([Fraction(x) for x in part.split(",") if x])
+        try:
+            vectors = [
+                [Fraction(x) for x in part.split(",") if x] for part in body.split(";")
+            ]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in weight scheme {text!r}") from None
         return ExplicitWeights(vectors)
     raise ValueError(f"unrecognized weight scheme {text!r}")
 

@@ -271,7 +271,7 @@ def test_criterion_09_disjunctive_property():
             for f2 in formulas:
                 inst = Instance(u, TRUE, [f1, f2])
                 expert = merge_scheme(inst, ExpertWeights(n + 1), DH).models
-                if closest_pairs_merge(u, f1, f2) != expert:
+                if closest_pairs_merge(inst) != expert:
                     mismatches += 1
         assert mismatches == 0, f"n={n}: {mismatches} mismatches"
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from beliefmerge.cli import main
+from beliefmerge.cli import POSTULATES, main
 from beliefmerge.formulae import Universe, model_from_literals
 
 
@@ -47,6 +47,25 @@ def test_json_golden(capsys, intro_file):
         assert code == 0
         name = "intro-" + scheme.replace(":", "-").replace(",", "-") + ".json"
         assert out == (GOLDEN / name).read_text(encoding="utf-8"), scheme
+
+
+@pytest.mark.parametrize(
+    "postulate,scheme,distance",
+    [(p, "all", "hamming") for p in POSTULATES]
+    + [(p, "expert", "drastic") for p in POSTULATES if p != "arbitration"],
+)
+def test_check_json_golden(capsys, postulate, scheme, distance):
+    """check --suite --json pinned byte for byte: suite verdict counts and
+    the first failure's witness, per postulate, under the all-weights
+    scheme and under the expert scheme's default weight."""
+    code, out, _ = run(
+        capsys,
+        "check", "--postulate", postulate, "--suite", "20", "--seed", "11",
+        "--scheme", scheme, "--distance", distance, "--json",
+    )
+    assert code == 0
+    name = f"check-{postulate}-{scheme}-{distance}.json"
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 class TestMerge:
@@ -292,6 +311,11 @@ class TestExitCodes:
             '{"variables": ["x"], "constraints": "x & !x", "profile": ["x"]}',
             '{"variables": ["x"], "constraints": "x", "profile": ["x"], "scheme": "warp"}',
             '{"variables":["a"],"constraints":"a","profile":["a"],"scheme":5}',
+            '{"variables":["a"],"constraints":"a","profile":["a"],"scheme":"list:1/0"}',
+            '{"variables":["a"],"constraints":"a","profile":["a"],'
+            '"distance":{"table":[[0,0],[1,1]],"default":2.5}}',
+            '{"variables":["a"],"constraints":"a","profile":["a"],'
+            '"distance":{"table":[[0,0],[1,1.9]]}}',
         ],
     )
     def test_malformed_instances_are_two(self, capsys, tmp_path, payload):
@@ -300,6 +324,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "merge", "--instance", str(path))
         assert code == 2
         assert err.strip()
+        assert "Traceback" not in err
+
+    def test_zero_denominator_scheme_flag_is_two(self, capsys, intro_file):
+        code, _, err = run(
+            capsys, "merge", "--instance", intro_file, "--scheme", "list:1/0"
+        )
+        assert code == 2
+        assert err.startswith("beliefmerge: ")
         assert "Traceback" not in err
 
     def test_enumeration_guard_is_three(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ from beliefmerge.errors import (
 from beliefmerge.formulae import (
     And,
     Const,
+    MAX_VARS,
     Iff,
     Implies,
     Not,
@@ -158,9 +159,9 @@ class TestModelsOf:
         assert ms[0].literals() == ("!x", "!y")
 
     def test_enumeration_guard(self):
-        u = Universe([f"v{i}" for i in range(6)])
+        u = Universe([f"v{i}" for i in range(MAX_VARS + 1)])
         with pytest.raises(EnumerationLimitError):
-            models_of(Const(True), u, max_vars=5)
+            models_of(Const(True), u)
 
     @settings(max_examples=60, deadline=None)
     @given(

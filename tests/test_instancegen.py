@@ -173,8 +173,6 @@ class TestRandomInstance:
             random_instance(13, 2, seed=0)
         with pytest.raises(ValueError):
             random_instance(4, 6, seed=0)
-        with pytest.raises(ValueError):
-            random_instance(4, 2, seed=0, density=2)
 
     def test_round_trips_through_instance_file(self, tmp_path):
         inst = random_instance(4, 3, seed=5)

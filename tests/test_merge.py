@@ -27,11 +27,7 @@ from beliefmerge.errors import InconsistentConstraintsError, InconsistentProfile
 from beliefmerge.formulae import TRUE
 from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
-from beliefmerge.weights import (
-    default_expert_weight,
-    expand_scheme,
-    parse_scheme,
-)
+from beliefmerge.weights import expand_scheme, parse_scheme
 
 from oracles import (
     brute_merge_fixed,
@@ -154,7 +150,7 @@ class TestFiniteSchemesAgainstBruteForce:
     def test_python_int_scores_stay_exact(self):
         inst = realize(DEEP)
         for text in HUGE_SCHEMES:
-            vectors = expand_scheme(parse_scheme(text), 3)
+            vectors = expand_scheme(parse_scheme(text), DH, inst.universe.n, 3)
             bound = int(inst.distances(DH).max()) * max(
                 sum(integer_witness(w)) for w in vectors
             )
@@ -164,9 +160,7 @@ class TestFiniteSchemesAgainstBruteForce:
         assert merge_fixed(inst, [1, 1, 10**19], DH) == {by_vector(inst, DH)[(2, 0, 1)]}
 
     def _check(self, inst, scheme, kind):
-        if scheme == ExpertWeights():
-            scheme = ExpertWeights(default_expert_weight(kind, inst.universe.n, inst.m))
-        vectors = expand_scheme(scheme, inst.m)
+        vectors = expand_scheme(scheme, kind, inst.universe.n, inst.m)
         result = merge_scheme(inst, scheme, kind)
         assert result.witnesses == _brute_scheme_merge(inst, vectors, kind)
         assert result.models == frozenset(result.witnesses)

@@ -22,7 +22,7 @@ from beliefmerge import (
     realize,
 )
 from beliefmerge._rng import Xoshiro256StarStar
-from beliefmerge.errors import InconsistentConstraintsError, UnsatisfiableFormulaError
+from beliefmerge.errors import InconsistentConstraintsError, InconsistentProfileError
 from beliefmerge.formulae import TRUE, And, Or, formula_from_models
 from beliefmerge.postulates import (
     check_ic0,
@@ -231,39 +231,46 @@ class TestIC8:
 class TestClosestPairs:
     U2 = Universe(["x", "y"])
 
+    def _pair(self, t1, t2):
+        profile = [parse_formula(t, self.U2) for t in (t1, t2)]
+        return Instance(self.U2, TRUE, profile)
+
     def test_opposite_corners(self):
-        f1 = parse_formula("x & y", self.U2)
-        f2 = parse_formula("!x & !y", self.U2)
-        got = closest_pairs_merge(self.U2, f1, f2)
+        got = closest_pairs_merge(self._pair("x & y", "!x & !y"))
         assert got == {Model(self.U2, 0b11), Model(self.U2, 0b00)}
 
     def test_consistent_pair_keeps_common_models(self):
-        f1 = parse_formula("x", self.U2)
-        f2 = parse_formula("x | y", self.U2)
-        got = closest_pairs_merge(self.U2, f1, f2)
+        got = closest_pairs_merge(self._pair("x", "x | y"))
         common = set(models_of(parse_formula("x", self.U2), self.U2))
         assert common <= got
 
     def test_unsatisfiable_inputs_error(self):
-        with pytest.raises(UnsatisfiableFormulaError):
-            closest_pairs_merge(self.U2, parse_formula("x & !x", self.U2), TRUE)
+        with pytest.raises(InconsistentProfileError):
+            closest_pairs_merge(self._pair("x & !x", "true"))
+
+    def test_needs_two_formulae(self):
+        inst = Instance(self.U2, TRUE, [parse_formula("x", self.U2)])
+        with pytest.raises(ValueError):
+            closest_pairs_merge(inst)
+
+    def test_constraints_play_no_part(self):
+        pair = self._pair("x & y", "!x & !y")
+        narrowed = Instance(self.U2, parse_formula("x & !y", self.U2), pair.profile)
+        assert closest_pairs_merge(narrowed) == closest_pairs_merge(pair)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_pairwise_loop(self, seed):
         n = 1 + seed % 6
         base = random_instance(n, 2, seed=1000 + seed)
         f1, f2 = base.profile
-        assert closest_pairs_merge(base.universe, f1, f2) == brute_closest_pairs(
-            base.universe, f1, f2
-        )
+        assert closest_pairs_merge(base) == brute_closest_pairs(base.universe, f1, f2)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_expert_merge_on_random_pairs(self, seed):
         base = random_instance(3, 2, seed=seed)
-        f1, f2 = base.profile
-        inst = Instance(base.universe, TRUE, [f1, f2])
+        inst = Instance(base.universe, TRUE, base.profile)
         expert = merge_scheme(inst, ExpertWeights(base.universe.n + 1), DH)
-        assert closest_pairs_merge(base.universe, f1, f2) == expert.models
+        assert closest_pairs_merge(inst) == expert.models
 
 
 class TestMajority:

@@ -21,6 +21,8 @@ from beliefmerge.weights import (
 
 from oracles import brute_score, dominates, strictly_dominates
 
+DH = DistanceKind.hamming()
+
 
 class TestDominance:
     def test_componentwise(self):
@@ -71,22 +73,23 @@ class TestDominance:
 
 class TestSchemes:
     def test_expert_three_for_two_sources(self):
-        got = expand_scheme(ExpertWeights(3), 2)
+        got = expand_scheme(ExpertWeights(3), DH, 4, 2)
         assert got == [as_weight_vector([3, 1]), as_weight_vector([1, 3])]
 
     def test_equal_is_all_ones(self):
-        assert expand_scheme(EqualWeights(), 4) == [as_weight_vector([1, 1, 1, 1])]
+        assert expand_scheme(EqualWeights(), DH, 4, 4) == [as_weight_vector([1, 1, 1, 1])]
 
     def test_explicit_passes_through(self):
         scheme = ExplicitWeights([[5, 2], [2, 5]])
-        assert expand_scheme(scheme, 2) == list(scheme.vectors)
+        assert expand_scheme(scheme, DH, 4, 2) == list(scheme.vectors)
 
     def test_all_positive_is_symbolic(self):
-        assert expand_scheme(AllPositiveWeights(), 3) is None
+        assert expand_scheme(AllPositiveWeights(), DH, 4, 3) is None
 
-    def test_expert_without_value_needs_resolution(self):
-        with pytest.raises(ValueError):
-            expand_scheme(ExpertWeights(), 2)
+    def test_expert_without_value_takes_the_default(self):
+        for kind, a in ((DH, 4 * 2 + 1), (DistanceKind.drastic(), 2 + 1)):
+            got = expand_scheme(ExpertWeights(), kind, 4, 2)
+            assert got == [as_weight_vector([a, 1]), as_weight_vector([1, a])]
 
     def test_expert_minimum(self):
         with pytest.raises(ValueError):
