@@ -7,8 +7,11 @@ included), 3 resource guard (out of memory included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+
+import numpy as np
 
 from ._rng import Xoshiro256StarStar
 from .distance import DistanceKind
@@ -17,7 +20,7 @@ from .errors import (
     EnumerationLimitError,
     InstanceFormatError,
 )
-from .formulae import TRUE, Model, Not, Or, parse_formula
+from .formulae import TRUE, Model, Not, Or, Universe, parse_formula
 from .geometry2d import render_svg
 from .instancefile import (
     instance_payload,
@@ -77,17 +80,71 @@ def _sorted_models(models) -> list[Model]:
     return sorted(models, key=lambda m: m.bits)
 
 
-def _merge_payload(result: MergeResult, kind, scheme) -> dict:
-    models = _sorted_models(result.models)
-    return {
-        "distance": str(kind),
-        "scheme": scheme_to_text(scheme),
-        "models": [list(m.literals()) for m in models],
-        "witnesses": [
-            list(result.witnesses[m]) if m in result.witnesses else None
-            for m in models
-        ],
-    }
+def _literal_texts(universe: Universe, bits: list[int], quote, sep: str) -> list[str]:
+    """Each bitmask's literals in universe order, each written by quote
+    and joined by sep. Every text is one lookup in a table over the
+    first half of the variables and one over the rest."""
+
+    def table(names, glue):  # index: the names' bits, first name most significant
+        texts = [""]
+        for name in names:
+            negative, positive = glue + quote("!" + name), glue + quote(name)
+            texts = [t + lit for t in texts for lit in (negative, positive)]
+            glue = sep
+        return texts
+
+    names = universe.variables
+    split = len(names) // 2
+    high = table(names[:split], "")
+    low = table(names[split:], sep if split else "")
+    shift = len(names) - split
+    mask = (1 << shift) - 1
+    return [high[b >> shift] + low[b & mask] for b in bits]
+
+
+def _json_list(items, pad: str) -> str:
+    """A list of rendered JSON values, laid out as json.dumps(indent=2)
+    lays it out at indentation pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _merge_json(result: MergeResult, kind, scheme) -> str:
+    """json.dumps(indent=2, sort_keys=True) of the payload {distance,
+    models, scheme, witnesses}, written from the result's arrays."""
+    bits = result.bits.tolist()
+    inner = "\n" + " " * 6
+    models = [
+        "[" + inner + body + "\n    ]"
+        for body in _literal_texts(result.universe, bits, json.dumps, "," + inner)
+    ]
+    weights = [_json_list(list(map(str, w)), "    ") for w in result.weights]
+    witnesses = [weights[j] for j in result.witness_index.tolist()]
+    return (
+        "{\n"
+        f'  "distance": {json.dumps(str(kind))},\n'
+        f'  "models": {_json_list(models, "  ")},\n'
+        f'  "scheme": {json.dumps(scheme_to_text(scheme))},\n'
+        f'  "witnesses": {_json_list(witnesses, "  ")}\n'
+        "}"
+    )
+
+
+def _merge_text(result: MergeResult, show_witness: bool) -> str:
+    """One line per selected model, {literals}, in bit order; with
+    show_witness, each followed by its witness vector."""
+    lines = [
+        "{" + body + "}"
+        for body in _literal_texts(result.universe, result.bits.tolist(), str, ", ")
+    ]
+    if show_witness:
+        weights = [f"  witness={list(w)}" for w in result.weights]
+        lines = [
+            line + weights[j] for line, j in zip(lines, result.witness_index.tolist())
+        ]
+    return "\n".join(lines)
 
 
 def _resolve_config(args, file_distance, file_scheme):
@@ -116,16 +173,9 @@ def _cmd_merge(args) -> int:
     else:
         result = merge_scheme(spec.instance(), scheme, kind)
     if args.json:
-        _emit(_json_dump(_merge_payload(result, kind, scheme)), args.out)
-        return 0
-    lines = []
-    show_witness = isinstance(scheme, AllPositiveWeights)
-    for m in _sorted_models(result.models):
-        if show_witness and m in result.witnesses:
-            lines.append(f"{m}  witness={list(result.witnesses[m])}")
-        else:
-            lines.append(str(m))
-    _emit("\n".join(lines), args.out)
+        _emit(_merge_json(result, kind, scheme), args.out)
+    else:
+        _emit(_merge_text(result, isinstance(scheme, AllPositiveWeights)), args.out)
     return 0
 
 
@@ -185,12 +235,8 @@ def _cmd_plot(args) -> int:
     kind, scheme = _resolve_config(args, spec.distance, spec.scheme)
     vectors = inst.vectors(kind)
     result = merge_scheme(inst, scheme, kind)
-    selected = {
-        vectors[idx]
-        for idx, m in enumerate(inst.mu_models())
-        if m in result.models
-    }
-    render_svg(sorted(set(vectors)), selected, args.out)
+    rows = np.searchsorted(inst.mu_bits, result.bits).tolist()
+    render_svg(sorted(set(vectors)), {vectors[r] for r in rows}, args.out)
     return 0
 
 
@@ -312,7 +358,10 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args
+    returns a fresh Namespace on every call."""
     parser = _Parser(prog="beliefmerge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -44,7 +44,8 @@ class DistanceKind:
     @classmethod
     def from_table(cls, pairs, default: int | None = None) -> "DistanceKind":
         """Table kind from (count, value) pairs; every key, value and the
-        default must be an integer (TypeError otherwise, floats included)."""
+        default must be an integer (TypeError otherwise, floats included),
+        and every value and the default must fit in int64."""
         pairs = tuple((operator.index(k), operator.index(v)) for k, v in pairs)
         if not pairs or pairs[0] != (0, 0):
             raise DistanceTableError("table must start with the pair [0, 0]")
@@ -55,10 +56,14 @@ class DistanceKind:
             last = k
             if k > 0 and v <= 0:
                 raise DistanceTableError(f"table value for count {k} must be positive")
+            if v >= 2**63:
+                raise DistanceTableError(f"table value for count {k} must be below 2^63")
         if default is not None:
             default = operator.index(default)
             if default <= 0:
                 raise DistanceTableError("table default must be positive")
+            if default >= 2**63:
+                raise DistanceTableError("table default must be below 2^63")
         return cls("table", pairs, default)
 
     def mapped(self, count: int) -> int:

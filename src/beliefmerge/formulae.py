@@ -193,7 +193,11 @@ def truth_table(f: Formula, universe: Universe) -> np.ndarray:
                 return rec(a) == rec(b)
         raise TypeError(f"not a formula node: {g!r}")
 
-    return rec(f)
+    table = rec(f)
+    # rec reaches itself through its closure; without this cycle break the
+    # closure and its 2^n idx array live until the cyclic collector runs
+    del rec
+    return table
 
 
 def table_bits(table: np.ndarray) -> np.ndarray:

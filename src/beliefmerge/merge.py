@@ -10,12 +10,15 @@ the column minima. The all-positive scheme asks one exact LP
 (lp.decide) about each distinct row on the Pareto front, and excludes
 every row off it. An excluded model's certificate comes from the same
 LP: at most m other models whose convex combination of vectors beats
-it. Model objects are built only for the rows an operator returns.
+it. Rows are deduplicated with one stable lexsort. A MergeResult holds
+the selected bitmasks as a sorted int64 array with an index into its
+witness vectors per row; its Model views are built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +26,7 @@ import numpy as np
 from . import lp
 from .distance import DistanceKind, distances_to_bits
 from .errors import (
+    DistanceTableError,
     InconsistentConstraintsError,
     InconsistentProfileError,
     UniverseMismatchError,
@@ -42,7 +46,9 @@ class Instance:
     Rejects an inconsistent mu and any unsatisfiable profile entry at
     construction: every operator in the package presupposes both. The
     read-only truth tables ``mu_table`` and ``profile_tables`` (one
-    boolean per assignment, in bitmask order) are kept for reuse.
+    boolean per assignment, in bitmask order) are kept for reuse, and
+    ``mu_bits`` holds the mu models' bitmasks as a sorted read-only
+    int64 array.
     """
 
     def __init__(
@@ -56,8 +62,8 @@ class Instance:
         self.profile = profile
 
         self.mu_table = _read_only(truth_table(constraints, universe))
-        self._mu_bits = table_bits(self.mu_table)
-        if self._mu_bits.shape[0] == 0:
+        self.mu_bits = _read_only(table_bits(self.mu_table))
+        if self.mu_bits.shape[0] == 0:
             raise InconsistentConstraintsError("integrity constraints are unsatisfiable")
         tables, self._entry_bits = [], []
         for idx, f in enumerate(profile):
@@ -82,7 +88,7 @@ class Instance:
         return self._models
 
     def _models_at(self, rows) -> list[Model]:
-        return [Model(self.universe, b) for b in self._mu_bits[rows].tolist()]
+        return [Model(self.universe, b) for b in self.mu_bits[rows].tolist()]
 
     def distances(self, kind: DistanceKind) -> np.ndarray:
         """Read-only int64 matrix of d(I, F_j): one row per mu model, in
@@ -91,7 +97,7 @@ class Instance:
         if matrix is None:
             n = self.universe.n
             matrix = _read_only(np.column_stack([
-                distances_to_bits(kind, self._mu_bits, bits, n)
+                distances_to_bits(kind, self.mu_bits, bits, n)
                 for bits in self._entry_bits
             ]))
             self._distances[kind] = matrix
@@ -105,22 +111,60 @@ class Instance:
         """Position of i among the mu models; raises if i does not satisfy mu."""
         if i.universe != self.universe:
             raise UniverseMismatchError("model belongs to a different universe")
-        pos = int(np.searchsorted(self._mu_bits, i.bits))
-        if pos == len(self._mu_bits) or int(self._mu_bits[pos]) != i.bits:
+        pos = int(np.searchsorted(self.mu_bits, i.bits))
+        if pos == len(self.mu_bits) or int(self.mu_bits[pos]) != i.bits:
             raise ValueError("model does not satisfy the integrity constraints")
         return pos
 
     def __repr__(self) -> str:
-        return f"Instance(n={self.universe.n}, m={self.m}, mu_models={len(self._mu_bits)})"
+        return f"Instance(n={self.universe.n}, m={self.m}, mu_models={len(self.mu_bits)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergeResult:
     """Selected models plus, per model, one integer weight vector
-    certifying its minimality under the scheme."""
+    certifying its minimality under the scheme.
 
-    models: frozenset[Model]
-    witnesses: dict[Model, tuple[int, ...]] = field(default_factory=dict)
+    ``bits`` holds the selected bitmasks as a sorted read-only int64
+    array, and row r's witness is ``weights[witness_index[r]]``. The
+    views ``models`` (a frozenset of Model) and ``witnesses`` (a dict
+    from Model to weight tuple) are built on first use.
+    """
+
+    universe: Universe
+    bits: np.ndarray
+    weights: tuple[tuple[int, ...], ...]
+    witness_index: np.ndarray
+
+    @cached_property
+    def witnesses(self) -> dict[Model, tuple[int, ...]]:
+        return {
+            Model(self.universe, b): self.weights[j]
+            for b, j in zip(self.bits.tolist(), self.witness_index.tolist())
+        }
+
+    @cached_property
+    def models(self) -> frozenset[Model]:
+        return frozenset(self.witnesses)
+
+    def __eq__(self, other):
+        if not isinstance(other, MergeResult):
+            return NotImplemented
+        return self.witnesses == other.witnesses
+
+    __hash__ = None
+
+
+def _result(
+    inst: Instance, rows: np.ndarray, weights, witness_index: np.ndarray
+) -> MergeResult:
+    """The mu models at rows, the j-th with witness weights[witness_index[j]]."""
+    return MergeResult(
+        inst.universe,
+        _read_only(inst.mu_bits[rows]),
+        tuple(weights),
+        _read_only(witness_index),
+    )
 
 
 def distinct_front(
@@ -134,17 +178,25 @@ def distinct_front(
     A strictly dominating row comes first lexicographically, so the
     first live row is always on the front; it then drops every row it
     dominates. Memory stays O(k * m) for k rows of length m.
+
+    One stable lexsort (first column most significant) orders the rows;
+    a row starts a new distinct row where it differs from its
+    predecessor, and stability makes that row the first occurrence.
     """
-    rows, first, inverse = np.unique(
-        matrix, axis=0, return_index=True, return_inverse=True
-    )
+    order = np.lexsort(matrix.T[::-1])
+    ordered = matrix[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    rows, first = ordered[new], order[new]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
     front = np.zeros(len(rows), dtype=bool)
     live = np.ones(len(rows), dtype=bool)
     while live.any():
         i = int(live.argmax())
         front[i] = True
         live &= ~(rows[i] <= rows).all(axis=1)
-    return rows, first, inverse.reshape(-1), front
+    return rows, first, inverse, front
 
 
 def merge_fixed(inst: Instance, w, kind: DistanceKind) -> frozenset[Model]:
@@ -164,20 +216,15 @@ def minimal_for_some_positive(
 
 
 def _argmin_merge(inst: Instance, matrix: np.ndarray, vectors) -> MergeResult:
-    """Rows minimal under at least one weight vector, each with the
-    integer form of the first vector that selects it."""
-    witnesses = [lp.integer_witness(w) for w in vectors]
+    """Rows minimal under at least one integer weight vector, each with
+    the first vector that selects it."""
     # no score exceeds this bound: int64 below 2^63, exact Python ints above
-    bound = max(int(matrix.max()), 1) * max(map(sum, witnesses))
+    bound = max(int(matrix.max()), 1) * max(map(sum, vectors))
     dtype = np.int64 if bound < 2**63 else object
-    scores = matrix.astype(dtype, copy=False) @ np.array(witnesses, dtype=dtype).T
+    scores = matrix.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
     hit = scores == scores.min(axis=0)
     rows = np.flatnonzero(hit.any(axis=1))
-    firsts = hit[rows].argmax(axis=1).tolist()
-    selected = {
-        model: witnesses[j] for model, j in zip(inst._models_at(rows), firsts)
-    }
-    return MergeResult(frozenset(selected), selected)
+    return _result(inst, rows, vectors, hit[rows].argmax(axis=1))
 
 
 def _lp_merge(inst: Instance, matrix: np.ndarray) -> MergeResult:
@@ -185,17 +232,16 @@ def _lp_merge(inst: Instance, matrix: np.ndarray) -> MergeResult:
     excluded, a front row strictly dominates it."""
     rows, _, inverse, front = distinct_front(matrix)
     candidates = rows[front].tolist()
-    witness = {}
+    weights = []
+    slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
     for i, d in zip(np.flatnonzero(front).tolist(), candidates):
         w = lp.decide(d, [e for e in candidates if e != d])[0]
         if w is not None:
-            witness[i] = w
-    chosen = np.flatnonzero(np.isin(inverse, list(witness)))
-    selected = {
-        model: witness[i]
-        for model, i in zip(inst._models_at(chosen), inverse[chosen].tolist())
-    }
-    return MergeResult(frozenset(selected), selected)
+            slot[i] = len(weights)
+            weights.append(w)
+    witness_index = slot[inverse]
+    chosen = np.flatnonzero(witness_index >= 0)
+    return _result(inst, chosen, weights, witness_index[chosen])
 
 
 def _scheme_merge(
@@ -252,13 +298,17 @@ def multi_source_merge(
     a model is sum_i w_i * sum_{F in S_i} d(I, F), so each source
     contributes the per-source sum as one coordinate of an aggregated
     distance vector and the single-profile machinery applies unchanged.
+    Raises DistanceTableError when a per-source sum could reach 2^63.
     """
     sources = [tuple(s) for s in sources]
     if not sources or any(not s for s in sources):
         raise ValueError("each source must provide at least one formula")
     inst = Instance(universe, constraints, [f for s in sources for f in s])
+    matrix = inst.distances(kind)
+    if int(matrix.max()) * max(map(len, sources)) >= 2**63:
+        raise DistanceTableError("per-source distance sums do not fit in 64 bits")
     # 0/1 matrix sending each flat formula's column to its source's column
     to_source = np.repeat(
         np.eye(len(sources), dtype=np.int64), [len(s) for s in sources], axis=0
     )
-    return _scheme_merge(inst, inst.distances(kind) @ to_source, scheme, kind)
+    return _scheme_merge(inst, matrix @ to_source, scheme, kind)

@@ -134,6 +134,12 @@ def product_scheme(
     rv = expand_scheme(right, kind, n, k_right)
     if lv is None or rv is None:
         raise ValueError("cannot mix the all-positive scheme with a finite one in a product")
+    # each part's denominators are cleared on its own scale, so an explicit
+    # part joins with its rational vectors
+    if isinstance(left, ExplicitWeights):
+        lv = left.vectors
+    if isinstance(right, ExplicitWeights):
+        rv = right.vectors
     return ExplicitWeights([a + b for a in lv for b in rv])
 
 

@@ -1,9 +1,10 @@
 """Weight vectors and weight schemes.
 
-Weights are strictly positive rationals internally. All comparisons the
-engine makes are homogeneous, so positive-rational feasibility agrees
-with the positive-integer convention once denominators are cleared;
-public witnesses are always reported as integers.
+An explicit scheme keeps its strictly positive rationals as written.
+All comparisons the engine makes are homogeneous, so positive-rational
+feasibility agrees with the positive-integer convention once
+denominators are cleared: a finite scheme expands to integer vectors,
+and public witnesses are always reported as integers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .distance import DistanceKind
+from .lp import integer_witness
 
 WeightVector = tuple[Fraction, ...]
 
@@ -79,27 +81,25 @@ def default_expert_weight(kind: DistanceKind, n: int, m: int) -> int:
 
 def expand_scheme(
     scheme: WeightScheme, kind: DistanceKind, n: int, m: int
-) -> list[WeightVector] | None:
-    """Finite vector list of a scheme over m sources, or None for the
-    symbolic all-positive set. An expert scheme without a weight takes
-    ``default_expert_weight(kind, n, m)``."""
+) -> list[tuple[int, ...]] | None:
+    """Finite integer vector list of a scheme over m sources, or None for
+    the symbolic all-positive set. An explicit vector has its
+    denominators cleared (``lp.integer_witness``); an expert scheme
+    without a weight takes ``default_expert_weight(kind, n, m)``."""
     if m < 1:
         raise ValueError("profile length must be at least 1")
     match scheme:
         case EqualWeights():
-            return [as_weight_vector([1] * m)]
+            return [(1,) * m]
         case ExpertWeights(a):
             if a is None:
                 a = default_expert_weight(kind, n, m)
-            return [
-                as_weight_vector([a if j == i else 1 for j in range(m)])
-                for i in range(m)
-            ]
+            return [tuple(a if j == i else 1 for j in range(m)) for i in range(m)]
         case ExplicitWeights(vectors):
             for v in vectors:
                 if len(v) != m:
                     raise ValueError(f"scheme vector length {len(v)} != profile length {m}")
-            return list(vectors)
+            return [integer_witness(v) for v in vectors]
         case AllPositiveWeights():
             return None
     raise TypeError(f"not a weight scheme: {scheme!r}")

@@ -5,17 +5,24 @@ Python, deliberately avoiding the package's kernels, LP and geometry so
 the two routes stay independent. The recursive per-model ``evaluate`` is
 the reference for the package's truth tables, and Fourier-Motzkin
 elimination, which the package's integer simplex replaced, stays here as
-the differential oracle for lp.decide.
+the differential oracle for lp.decide. ``unique_rows`` (numpy's
+``unique(axis=0)``) is the reference for merge.distinct_front's stable
+lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
+reference for the CLI's array-based ``merge --json`` writer.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
+import numpy as np
+
 from beliefmerge import DistanceKind, Model, Universe, models_of
 from beliefmerge.formulae import TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
+from beliefmerge.weights import scheme_to_text
 
 
 def evaluate(f: Formula, model: Model) -> bool:
@@ -261,3 +268,29 @@ def brute_maxcons(inst) -> set[frozenset[int]]:
 
 def universe_of(*names: str) -> Universe:
     return Universe(names)
+
+
+def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, first, inverse): the distinct rows in lexicographic order,
+    the index of each one's first occurrence, and the distinct row of
+    every input row."""
+    rows, first, inverse = np.unique(
+        matrix, axis=0, return_index=True, return_inverse=True
+    )
+    return rows, first, inverse.reshape(-1)
+
+
+def merge_json(result, kind: DistanceKind, scheme) -> str:
+    """``merge --json`` text: the payload dict, built from the result's
+    Model views, through json.dumps(indent=2, sort_keys=True)."""
+    models = sorted(result.models, key=lambda m: m.bits)
+    payload = {
+        "distance": str(kind),
+        "scheme": scheme_to_text(scheme),
+        "models": [list(m.literals()) for m in models],
+        "witnesses": [
+            list(result.witnesses[m]) if m in result.witnesses else None
+            for m in models
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

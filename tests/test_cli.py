@@ -3,8 +3,19 @@ from pathlib import Path
 
 import pytest
 
-from beliefmerge.cli import POSTULATES, main
+from beliefmerge import (
+    AllPositiveWeights,
+    DistanceKind,
+    EqualWeights,
+    ExpertWeights,
+    ExplicitWeights,
+    merge_scheme,
+    random_instance,
+)
+from beliefmerge.cli import POSTULATES, _merge_json, main
 from beliefmerge.formulae import Universe, model_from_literals
+
+from oracles import merge_json
 
 
 def run(capsys, *argv):
@@ -47,6 +58,30 @@ def test_json_golden(capsys, intro_file):
         assert code == 0
         name = "intro-" + scheme.replace(":", "-").replace(",", "-") + ".json"
         assert out == (GOLDEN / name).read_text(encoding="utf-8"), scheme
+
+
+def test_text_golden(capsys, intro_file):
+    """Plain merge output on the README's running example, pinned byte
+    for byte: witness lines under the all scheme, bare models otherwise."""
+    for scheme in ("all", "equal"):
+        code, out, _ = run(capsys, "merge", "--instance", intro_file, "--scheme", scheme)
+        assert code == 0
+        assert out == (GOLDEN / f"intro-{scheme}.txt").read_text(encoding="utf-8"), scheme
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_merge_json_matches_payload_dump(seed):
+    """The array-based merge --json writer against json.dumps of the
+    payload dict it replaced."""
+    inst = random_instance(1 + seed % 5, 1 + seed % 3, seed)
+    fractional = ExplicitWeights(
+        [[1 + j % 2 for j in range(inst.m)], [f"1/{j + 2}" for j in range(inst.m)]]
+    )
+    schemes = [AllPositiveWeights(), EqualWeights(), ExpertWeights(), fractional]
+    for kind in (DistanceKind.hamming(), DistanceKind.drastic()):
+        for scheme in schemes:
+            result = merge_scheme(inst, scheme, kind)
+            assert _merge_json(result, kind, scheme) == merge_json(result, kind, scheme)
 
 
 @pytest.mark.parametrize(
@@ -316,6 +351,8 @@ class TestExitCodes:
             '"distance":{"table":[[0,0],[1,1]],"default":2.5}}',
             '{"variables":["a"],"constraints":"a","profile":["a"],'
             '"distance":{"table":[[0,0],[1,1.9]]}}',
+            '{"variables":["a"],"constraints":"a","profile":["a"],'
+            '"distance":{"table":[[0,0],[1,100000000000000000000]],"default":3}}',
         ],
     )
     def test_malformed_instances_are_two(self, capsys, tmp_path, payload):

@@ -106,6 +106,13 @@ class TestDistanceTables:
         with pytest.raises(DistanceTableError):
             DistanceKind.from_table([[0, 0], [1, 0]])
 
+    def test_table_values_fit_int64(self):
+        DistanceKind.from_table([[0, 0], [1, 2**63 - 1]], default=2**63 - 1)
+        with pytest.raises(DistanceTableError):
+            DistanceKind.from_table([[0, 0], [1, 2**63]])
+        with pytest.raises(DistanceTableError):
+            DistanceKind.from_table([[0, 0], [1, 1]], default=2**63)
+
     def test_table_keys_increasing(self):
         with pytest.raises(DistanceTableError):
             DistanceKind.from_table([[0, 0], [2, 1], [1, 1]])

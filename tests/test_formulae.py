@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,18 @@ class TestModelsOf:
         table = truth_table(f, u)
         for bits in range(1 << u.n):
             assert bool(table[bits]) == evaluate(f, Model(u, bits))
+
+    def test_table_leaves_no_reference_cycle(self):
+        # a cycle would keep the 2^n index array alive until the collector ran
+        u = Universe(["a", "b", "c", "d"])
+        f = parse_formula("(a -> b) & !(c <-> d) | a", u)
+        gc.collect()
+        gc.disable()
+        try:
+            truth_table(f, u)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFormulaFromModels:

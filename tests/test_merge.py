@@ -23,10 +23,16 @@ from beliefmerge import (
     realize,
     undominated,
 )
-from beliefmerge.errors import InconsistentConstraintsError, InconsistentProfileError
+from beliefmerge._rng import Xoshiro256StarStar
+from beliefmerge.errors import (
+    DistanceTableError,
+    InconsistentConstraintsError,
+    InconsistentProfileError,
+)
 from beliefmerge.formulae import TRUE
 from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
+from beliefmerge.merge import distinct_front
 from beliefmerge.weights import expand_scheme, parse_scheme
 
 from oracles import (
@@ -35,6 +41,7 @@ from oracles import (
     feasible,
     minimality_system,
     strictly_dominates,
+    unique_rows,
 )
 
 DD = DistanceKind.drastic()
@@ -253,6 +260,57 @@ class TestMergeScheme:
         assert again.models == result.models
 
 
+def _matrix(rng, k, m, low, high):
+    """A k x m int64 matrix of seeded entries in [low, low + high)."""
+    return np.array(
+        [[low + rng.below(high) for _ in range(m)] for _ in range(k)], dtype=np.int64
+    )
+
+
+class TestDistinctFront:
+    SHAPES = [
+        (1, 3, 0, 5),  # one row
+        (40, 1, 0, 6),  # one column
+        (30, 3, 7, 1),  # all rows equal
+        (200, 3, 0, 2),  # many ties
+        (60, 4, 0, 4),
+        (80, 2, 2**62 - 3, 6),  # entries near 2^62
+        (50, 3, 2**62, 3),
+    ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_unique_rows(self, seed, shape):
+        matrix = _matrix(Xoshiro256StarStar(seed), *shape)
+        rows, first, inverse, front = distinct_front(matrix)
+        want_rows, want_first, want_inverse = unique_rows(matrix)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse)
+        distinct = [tuple(r) for r in want_rows.tolist()]
+        assert front.tolist() == [
+            not any(strictly_dominates(e, d) for e in distinct) for d in distinct
+        ]
+
+
+class TestMergeResult:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arrays_back_the_views(self, seed):
+        inst = random_instance(4, 3, seed=seed)
+        for scheme in (AllPositiveWeights(), EqualWeights(), ExpertWeights(5)):
+            result = merge_scheme(inst, scheme, DH)
+            bits = result.bits.tolist()
+            assert bits == sorted(bits) and not result.bits.flags.writeable
+            assert len(result.witness_index) == len(bits)
+            assert result.witnesses == {
+                Model(inst.universe, b): result.weights[j]
+                for b, j in zip(bits, result.witness_index.tolist())
+            }
+            assert result.models == frozenset(result.witnesses)
+            assert result == merge_scheme(inst, scheme, DH)
+
+
 class TestUndominated:
     def test_matches_all_positive_for_drastic(self):
         for seed in range(10):
@@ -350,3 +408,19 @@ class TestMultiSource:
     def test_rejects_empty_source(self):
         with pytest.raises(ValueError):
             multi_source_merge(self.U3, TRUE, [[]], EqualWeights(), DH)
+
+    def test_source_sums_past_int64_are_refused(self):
+        # summed in int64, source 1's 2 * 2^62 at world 0 would wrap to
+        # -2^63 and select !a,!b; the right answer is a,b (score 2^62)
+        u = Universe(["a", "b"])
+        kind = DistanceKind.from_table([(0, 0), (1, 2**62)], default=2**62)
+        sources = [
+            [parse_formula("a & b", u), parse_formula("a & b", u)],
+            [parse_formula("!a & !b", u)],
+        ]
+        with pytest.raises(DistanceTableError):
+            multi_source_merge(u, TRUE, sources, EqualWeights(), kind)
+        # one step below the limit the sums are exact
+        kind = DistanceKind.from_table([(0, 0), (1, 2**62 - 1)], default=2**62 - 1)
+        result = multi_source_merge(u, TRUE, sources, EqualWeights(), kind)
+        assert result.models == {Model(u, 0b11)}

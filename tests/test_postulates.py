@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from beliefmerge import (
@@ -196,6 +198,13 @@ class TestIC5IC6:
         assert isinstance(product_scheme(ALL, ALL, 1, 2, DH, 3), AllPositiveWeights)
         with pytest.raises(ValueError):
             product_scheme(ALL, EqualWeights(), 1, 2, DH, 3)
+
+    def test_product_scheme_joins_rational_parts(self):
+        # each part alone clears to (1,), but together (1/2, 1) is (1, 2)
+        combined = product_scheme(
+            ExplicitWeights([[Fraction(1, 2)]]), ExplicitWeights([[1]]), 1, 1, DH, 3
+        )
+        assert combined.vectors == ((Fraction(1, 2), Fraction(1)),)
 
     def test_split_validation(self):
         inst = random_instance(3, 2, seed=0)

@@ -83,6 +83,12 @@ class TestSchemes:
         scheme = ExplicitWeights([[5, 2], [2, 5]])
         assert expand_scheme(scheme, DH, 4, 2) == list(scheme.vectors)
 
+    def test_explicit_expands_to_integer_vectors(self):
+        scheme = ExplicitWeights([[Fraction(1, 2), Fraction(5, 3)], [4, 6]])
+        got = expand_scheme(scheme, DH, 4, 2)
+        assert got == [(3, 10), (4, 6)]
+        assert all(type(w) is int for v in got for w in v)
+
     def test_all_positive_is_symbolic(self):
         assert expand_scheme(AllPositiveWeights(), DH, 4, 3) is None
 
