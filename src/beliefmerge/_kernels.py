@@ -55,7 +55,7 @@ def _hamming_sets(targets: np.ndarray, n: int) -> np.ndarray:
 
 def _min_mapped_sweep(cands: np.ndarray, targets: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
     sets = _hamming_sets(targets, n)[cands]
-    values = np.unique(table)
+    values = sorted(set(table.tolist()))
     out = np.full(cands.shape[0], values[-1], dtype=np.int64)
     # smallest value last, so it wins wherever its counts are reached
     for v in values[-2::-1]:

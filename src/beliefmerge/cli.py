@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage, 2 parse/validation (too deep a formula
-included), 3 resource guard (out of memory included).
+and an unwritable output file included), 3 resource guard (out of memory
+included).
 """
 
 from __future__ import annotations
@@ -441,6 +442,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("beliefmerge: formula nested too deeply to process", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"beliefmerge: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("beliefmerge: resource guard: out of memory", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distance import DistanceKind
 from .formulae import Model
-from .merge import Instance, distinct_front, undominated
+from .merge import Instance, distinct_front
 
 Point2 = tuple[int, int]
 
@@ -69,23 +69,23 @@ def algorithm1(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
     dominated one), then removes every model excluded by some pair of
     the remaining ones. One pass over the pairs suffices too: whether a
     pair excludes a point depends only on the three points, and a second
-    pass would only see a subset of the first pass's pairs. The
+    pass would only see a subset of the first pass's pairs. Both passes
+    run on the distinct rows of the instance's distance matrix; each
+    verdict then reaches the mu models through the dedupe's inverse. The
     survivors are exactly the all-positive-weights merge (cross-checked
     against the LP route in the test suite).
     """
     if inst.m != 2:
         raise ValueError("the geometric algorithm applies to two-formula profiles only")
-    matrix = inst.distances(kind)
-    entries = [
-        (model, tuple(matrix[inst.model_index(model)].tolist()))
-        for model in undominated(inst, kind)
+    rows, _, inverse, front = distinct_front(inst.distances(kind))
+    points = list(map(tuple, rows[front].tolist()))
+    pairs = list(combinations(points, 2))
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[front] = [
+        not any(p not in (j, k) and _excludes(p, j, k) for j, k in pairs)
+        for p in points
     ]
-    pairs = list(combinations(sorted({vec for _, vec in entries}), 2))
-    return frozenset(
-        model
-        for model, vec in entries
-        if not any(vec not in (j, k) and _excludes(vec, j, k) for j, k in pairs)
-    )
+    return frozenset(inst._models_at(np.flatnonzero(keep[inverse])))
 
 
 def critical_weight_set(points: Iterable[Point2]) -> list[tuple[int, ...]]:

@@ -3,48 +3,38 @@
 A maxcon is stored as a 0-based index set into the profile, never as a
 formula set: duplicate profile entries stay distinct elements, which
 matters for repetition-sensitivity checks.
+
+A set S is consistent with mu exactly when some mu model satisfies every
+F_i with i in S, so the maxcons are the maximal satisfied sets of the mu
+models. Under the drastic distance a model's vector is 0 where it
+satisfies F_i and 1 elsewhere, and a maximal satisfied set is a distinct
+row on the Pareto front of that matrix. The disjunction of the maxcons
+is therefore the drastic undominated set, which is also the drastic
+merge under all positive weights.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
+from .distance import DistanceKind
 from .formulae import Model
-from .merge import Instance
+from .merge import Instance, distinct_front, undominated
 
 
 def maxcons(inst: Instance) -> tuple[frozenset[int], ...]:
     """All maximal index sets S with mu /\\ AND_{i in S} F_i consistent.
 
-    Enumerates by descending subset size, skipping subsets of an already
-    found maxcon; consistency is one truth-table intersection. Output is
-    sorted lexicographically on the sorted index tuples.
+    Each is the zero columns of one distinct front row of the instance's
+    drastic distance matrix. Output is sorted lexicographically on the
+    sorted index tuples.
     """
-    m = inst.m
-    found: list[frozenset[int]] = []
-    for size in range(m, -1, -1):
-        for subset in combinations(range(m), size):
-            s = frozenset(subset)
-            if any(s <= bigger for bigger in found):
-                continue
-            table = inst.mu_table
-            for i in subset:
-                table = table & inst.profile_tables[i]
-            if table.any():
-                found.append(s)
+    rows, _, _, front = distinct_front(inst.distances(DistanceKind.drastic()))
+    found = [frozenset(np.flatnonzero(row == 0).tolist()) for row in rows[front]]
     return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
 
 
 def maxcons_disjunction(inst: Instance) -> frozenset[Model]:
-    """Models of the disjunction over all maxcons of mu /\\ AND F_i."""
-    union = np.zeros_like(inst.mu_table)
-    for s in maxcons(inst):
-        table = inst.mu_table.copy()
-        for i in s:
-            table &= inst.profile_tables[i]
-        union |= table
-    return frozenset(
-        Model(inst.universe, int(b)) for b in np.nonzero(union)[0]
-    )
+    """Models of the disjunction over all maxcons of mu /\\ AND F_i: the
+    mu models whose satisfied set is maximal."""
+    return undominated(inst, DistanceKind.drastic())

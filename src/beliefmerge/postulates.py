@@ -3,6 +3,11 @@
 These are verdicts on one concrete instance, not universal provers: the
 theorems are exercised empirically by running the checkers over seeded
 suites. A failing verdict always carries a witness that can be replayed.
+
+Every checker is boolean algebra over truth tables in bitmask order: the
+instance's mu and profile tables, the mu' table, and each merge written
+as a table over the 2^n worlds. Models are built only for a failing
+verdict's witness, as lists in bit order.
 """
 
 from __future__ import annotations
@@ -37,40 +42,42 @@ class Verdict:
         return "pass" if self.passed else "fail"
 
 
-def _merged(cfg: OperatorConfig, inst: Instance) -> frozenset[Model]:
-    return merge_scheme(inst, cfg.scheme, cfg.kind).models
+def _merged(cfg: OperatorConfig, inst: Instance) -> np.ndarray:
+    """The merge as a boolean truth table over the 2^n worlds."""
+    table = np.zeros_like(inst.mu_table)
+    table[merge_scheme(inst, cfg.scheme, cfg.kind).bits] = True
+    return table
 
 
-def _fail(**witness) -> Verdict:
+def _fail(universe: Universe, **witness) -> Verdict:
+    """A failing verdict; every truth table in the witness becomes the
+    list of its models in bit order."""
+    for key, value in witness.items():
+        if isinstance(value, np.ndarray):
+            witness[key] = [Model(universe, b) for b in np.flatnonzero(value).tolist()]
     return Verdict(False, witness=witness)
 
 
 def check_ic0(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """Every merged model satisfies the integrity constraints."""
-    bad = [m for m in _merged(cfg, inst) if not inst.mu_table[m.bits]]
-    return Verdict(True) if not bad else _fail(models=bad)
+    bad = _merged(cfg, inst) & ~inst.mu_table
+    return _fail(inst.universe, models=bad) if bad.any() else Verdict(True)
 
 
 def check_ic1(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """Consistent constraints yield a consistent merge."""
-    return Verdict(bool(_merged(cfg, inst)))
+    return Verdict(bool(_merged(cfg, inst).any()))
 
 
 def check_ic2(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """When mu and the whole profile agree, merging is their conjunction."""
-    table = inst.mu_table
-    for t in inst.profile_tables:
-        table = table & t
-    if not table.any():
+    conj = np.logical_and.reduce((inst.mu_table, *inst.profile_tables))
+    if not conj.any():
         return Verdict(True, vacuous=True)
-    conj = frozenset(
-        Model(inst.universe, int(b)) for b in table.nonzero()[0]
-    )
     merged = _merged(cfg, inst)
-    if merged == conj:
+    if np.array_equal(merged, conj):
         return Verdict(True)
-    return _fail(merged=sorted(merged, key=lambda m: m.bits),
-                 conjunction=sorted(conj, key=lambda m: m.bits))
+    return _fail(inst.universe, merged=merged, conjunction=conj)
 
 
 def check_ic3(
@@ -96,8 +103,7 @@ def check_ic3(
         if not np.array_equal(inst.profile_tables[i], other.profile_tables[j]):
             raise ValueError(f"profile entries {i} and {j} are not equivalent")
     a, b = _merged(cfg, inst), _merged(cfg, other)
-    return Verdict(True) if a == b else _fail(left=sorted(a, key=lambda m: m.bits),
-                                              right=sorted(b, key=lambda m: m.bits))
+    return Verdict(True) if np.array_equal(a, b) else _fail(inst.universe, left=a, right=b)
 
 
 def check_ic4(cfg: OperatorConfig, inst: Instance) -> Verdict:
@@ -108,11 +114,10 @@ def check_ic4(cfg: OperatorConfig, inst: Instance) -> Verdict:
         if (table & ~inst.mu_table).any():
             raise ValueError(f"profile entry {idx + 1} does not entail the constraints")
     merged = _merged(cfg, inst)
-    with_f1, with_f2 = (any(t[m.bits] for m in merged) for t in inst.profile_tables)
+    with_f1, with_f2 = ((merged & t).any() for t in inst.profile_tables)
     if with_f1 == with_f2:
         return Verdict(True)
-    return _fail(merged=sorted(merged, key=lambda m: m.bits),
-                 consistent_with=1 if with_f1 else 2)
+    return _fail(inst.universe, merged=merged, consistent_with=1 if with_f1 else 2)
 
 
 def product_scheme(
@@ -157,11 +162,9 @@ def _split_check(
     combined_scheme = product_scheme(
         scheme_left, scheme_right, split, inst.m - split, kind, inst.universe.n
     )
-    la = merge_scheme(left, scheme_left, kind).models
-    rb = merge_scheme(right, scheme_right, kind).models
-    both = la & rb
-    combined = merge_scheme(inst, combined_scheme, kind).models
-    return both, combined
+    both = (_merged(OperatorConfig(kind, scheme_left), left)
+            & _merged(OperatorConfig(kind, scheme_right), right))
+    return both, _merged(OperatorConfig(kind, combined_scheme), inst)
 
 
 def check_ic5(
@@ -173,9 +176,8 @@ def check_ic5(
 ) -> Verdict:
     """Conjoined part merges entail the product-scheme merge."""
     both, combined = _split_check(kind, inst, split, scheme_left, scheme_right)
-    if both <= combined:
-        return Verdict(True)
-    return _fail(extra=sorted(both - combined, key=lambda m: m.bits))
+    extra = both & ~combined
+    return _fail(inst.universe, extra=extra) if extra.any() else Verdict(True)
 
 
 def check_ic6(
@@ -187,40 +189,32 @@ def check_ic6(
 ) -> Verdict:
     """A consistent conjunction of part merges absorbs the product merge."""
     both, combined = _split_check(kind, inst, split, scheme_left, scheme_right)
-    if not both:
+    if not both.any():
         return Verdict(True, vacuous=True)
-    if combined <= both:
-        return Verdict(True)
-    return _fail(extra=sorted(combined - both, key=lambda m: m.bits))
+    extra = combined & ~both
+    return _fail(inst.universe, extra=extra) if extra.any() else Verdict(True)
 
 
 def check_ic7(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """Restricting after merging never beats merging under the restriction."""
-    merged = _merged(cfg, inst)
-    restriction = truth_table(mu_prime, inst.universe)
-    lhs = frozenset(m for m in merged if restriction[m.bits])
+    lhs = _merged(cfg, inst) & truth_table(mu_prime, inst.universe)
     try:
         narrowed = Instance(inst.universe, And(inst.constraints, mu_prime), inst.profile)
     except InconsistentConstraintsError:
-        return Verdict(not lhs, vacuous=not lhs)
-    rhs = _merged(cfg, narrowed)
-    if lhs <= rhs:
-        return Verdict(True)
-    return _fail(extra=sorted(lhs - rhs, key=lambda m: m.bits))
+        empty = not lhs.any()
+        return Verdict(empty, vacuous=empty)
+    extra = lhs & ~_merged(cfg, narrowed)
+    return _fail(inst.universe, extra=extra) if extra.any() else Verdict(True)
 
 
 def check_ic8(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """The converse inclusion; fails for all-positive Hamming merging."""
     merged = _merged(cfg, inst)
-    restriction = truth_table(mu_prime, inst.universe)
-    lhs = frozenset(m for m in merged if restriction[m.bits])
-    if not lhs:
+    if not (merged & truth_table(mu_prime, inst.universe)).any():
         return Verdict(True, vacuous=True)
     narrowed = Instance(inst.universe, And(inst.constraints, mu_prime), inst.profile)
-    rhs = _merged(cfg, narrowed)
-    if rhs <= merged:
-        return Verdict(True)
-    return _fail(new_models=sorted(rhs - merged, key=lambda m: m.bits))
+    new = _merged(cfg, narrowed) & ~merged
+    return _fail(inst.universe, new_models=new) if new.any() else Verdict(True)
 
 
 def check_postulate(
@@ -240,7 +234,9 @@ def check_postulate(
 
     Besides ic0..ic8 it routes ``majority`` (the two-formula profile F1,
     F2 with F2 repeated ``reps`` times), ``disjunctive`` and
-    ``arbitration``.
+    ``arbitration``. ``majority`` merges F1 and the repeated F2 under
+    the constraint TRUE (see check_majority): it ignores inst's
+    constraints.
     """
     postulate = postulate.lower()
     if postulate == "ic0":
@@ -312,15 +308,13 @@ def check_majority(
     f2: Formula,
     reps: int,
 ) -> Verdict:
-    """Whether repeating f2 ``reps`` times forces the merge to entail it."""
+    """Whether repeating f2 ``reps`` times forces the merge to entail it,
+    with no integrity constraint (mu = TRUE)."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
     inst = Instance(universe, TRUE, [f1] + [f2] * reps)
-    merged = _merged(cfg, inst)
-    stray = [m for m in merged if not inst.profile_tables[-1][m.bits]]
-    if not stray:
-        return Verdict(True)
-    return _fail(models=sorted(stray, key=lambda m: m.bits))
+    stray = _merged(cfg, inst) & ~inst.profile_tables[-1]
+    return _fail(universe, models=stray) if stray.any() else Verdict(True)
 
 
 def check_disjunctive(cfg: OperatorConfig, inst: Instance) -> Verdict:
@@ -328,12 +322,8 @@ def check_disjunctive(cfg: OperatorConfig, inst: Instance) -> Verdict:
     for table in inst.profile_tables:
         if not (table & inst.mu_table).any():
             return Verdict(True, vacuous=True)
-    merged = _merged(cfg, inst)
-    covered = np.logical_or.reduce(inst.profile_tables)
-    stray = [m for m in merged if not covered[m.bits]]
-    if not stray:
-        return Verdict(True)
-    return _fail(models=sorted(stray, key=lambda m: m.bits))
+    stray = _merged(cfg, inst) & ~np.logical_or.reduce(inst.profile_tables)
+    return _fail(inst.universe, models=stray) if stray.any() else Verdict(True)
 
 
 def check_arbitration_duplicate(cfg: OperatorConfig, inst: Instance) -> Verdict:
@@ -343,9 +333,5 @@ def check_arbitration_duplicate(cfg: OperatorConfig, inst: Instance) -> Verdict:
     doubled = Instance(
         inst.universe, inst.constraints, list(inst.profile) + [inst.profile[-1]]
     )
-    a = _merged(cfg, inst)
-    b = _merged(cfg, doubled)
-    if a == b:
-        return Verdict(True)
-    return _fail(base=sorted(a, key=lambda m: m.bits),
-                 doubled=sorted(b, key=lambda m: m.bits))
+    a, b = _merged(cfg, inst), _merged(cfg, doubled)
+    return Verdict(True) if np.array_equal(a, b) else _fail(inst.universe, base=a, doubled=b)

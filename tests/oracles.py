@@ -8,7 +8,9 @@ elimination, which the package's integer simplex replaced, stays here as
 the differential oracle for lp.decide. ``unique_rows`` (numpy's
 ``unique(axis=0)``) is the reference for merge.distinct_front's stable
 lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
-reference for the CLI's array-based ``merge --json`` writer.
+reference for the CLI's array-based ``merge --json`` writer. The subset
+enumerator ``subset_maxcons``, which the drastic Pareto front replaced,
+is the differential oracle for maxcons and its disjunction.
 """
 
 import json
@@ -264,6 +266,38 @@ def brute_maxcons(inst) -> set[frozenset[int]]:
         s for s in cons
         if not any(s < t for t in cons)
     }
+
+
+def subset_maxcons(inst) -> tuple[frozenset[int], ...]:
+    """maxcons by enumerating the profile subsets by descending size,
+    skipping subsets of an already found maxcon; consistency is one
+    truth-table intersection. Sorted as maxcons.maxcons sorts."""
+    m = inst.m
+    found: list[frozenset[int]] = []
+    for size in range(m, -1, -1):
+        for subset in combinations(range(m), size):
+            s = frozenset(subset)
+            if any(s <= bigger for bigger in found):
+                continue
+            table = inst.mu_table
+            for i in subset:
+                table = table & inst.profile_tables[i]
+            if table.any():
+                found.append(s)
+    return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
+
+
+def subset_maxcons_disjunction(inst) -> frozenset[Model]:
+    """Models of the union over subset_maxcons of mu /\\ AND F_i."""
+    union = np.zeros_like(inst.mu_table)
+    for s in subset_maxcons(inst):
+        table = inst.mu_table.copy()
+        for i in s:
+            table &= inst.profile_tables[i]
+        union |= table
+    return frozenset(
+        Model(inst.universe, int(b)) for b in np.nonzero(union)[0]
+    )
 
 
 def universe_of(*names: str) -> Universe:

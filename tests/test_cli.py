@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,37 @@ def test_text_golden(capsys, intro_file):
         code, out, _ = run(capsys, "merge", "--instance", intro_file, "--scheme", scheme)
         assert code == 0
         assert out == (GOLDEN / f"intro-{scheme}.txt").read_text(encoding="utf-8"), scheme
+
+
+TEN_SOURCES = (  # realize --block-size 1 input: 8 mu models, 10 sources
+    "0,1,1,0,0,1,1,1,0,0;1,1,0,0,1,0,1,0,1,1;1,1,1,1,0,1,1,0,1,0;"
+    "1,1,0,0,0,0,0,1,1,0;1,1,1,1,0,1,0,0,1,0;0,0,1,1,0,0,0,1,1,0;"
+    "0,0,1,0,0,1,1,1,1,0;1,0,0,0,1,1,1,0,0,0"
+)
+
+
+def test_maxcons_golden(capsys, tmp_path):
+    """maxcons output pinned byte for byte on the six-literal family
+    (8 maxcons) and a realized 0/1 instance with 10 sources."""
+    six = tmp_path / "six.json"
+    six.write_text(json.dumps({
+        "variables": ["x", "y", "z"],
+        "constraints": "true",
+        "profile": ["x", "y", "z", "!x", "!y", "!z"],
+    }))
+    ten = tmp_path / "ten.json"
+    assert main(["realize", "--vectors", TEN_SOURCES, "--block-size", "1",
+                 "--out", str(ten)]) == 0
+    for name, path in (("six", six), ("ten", ten)):
+        for suffix, flags in (
+            ("json", ["--json"]),
+            ("disjunction.json", ["--disjunction", "--json"]),
+            ("disjunction.txt", ["--disjunction"]),
+        ):
+            code, out, _ = run(capsys, "maxcons", "--instance", str(path), *flags)
+            assert code == 0
+            golden = GOLDEN.parent / "golden_maxcons" / f"maxcons-{name}.{suffix}"
+            assert out == golden.read_text(encoding="utf-8"), golden.name
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -363,6 +397,19 @@ class TestExitCodes:
         assert err.strip()
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["merge", "realize", "plot", "maxcons"])
+    def test_unwritable_out_is_two(self, capsys, intro_file, tmp_path, command):
+        # maxcons writes onto a directory, the others into a missing one
+        out = str(tmp_path) if command == "maxcons" else str(tmp_path / "missing" / "x")
+        source = (
+            ["--vectors", "3,0;1,1;0,3"] if command == "realize"
+            else ["--instance", intro_file]
+        )
+        code, _, err = run(capsys, command, *source, "--out", out)
+        assert code == 2
+        assert err.startswith("beliefmerge: ")
+        assert "Traceback" not in err
+
     def test_zero_denominator_scheme_flag_is_two(self, capsys, intro_file):
         code, _, err = run(
             capsys, "merge", "--instance", intro_file, "--scheme", "list:1/0"
@@ -399,3 +446,35 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("beliefmerge: ")
         assert "Traceback" not in err
+
+
+def test_numpy_ma_is_never_imported(tmp_path):
+    """merge on a sweep-sized instance, check --suite and maxcons, run in
+    a fresh interpreter, leave numpy.ma unimported: numpy's set routines
+    (np.unique and kin) import it on first use."""
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "variables": [f"v{i}" for i in range(10)],
+        "constraints": "true",
+        "profile": ["v0", "!v1 | v2", "v3 & v4"],
+    }))
+    out = str(tmp_path / "out")
+    runs = [
+        ["merge", "--instance", str(wide), "--out", out],
+        ["check", "--postulate", "ic2", "--suite", "20", "--out", out],
+        ["maxcons", "--instance", str(wide), "--disjunction", "--out", out],
+    ]
+    script = (
+        "import sys\n"
+        "from beliefmerge.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from beliefmerge import (
@@ -12,10 +15,16 @@ from beliefmerge import (
     models_of,
     parse_formula,
     random_instance,
+    realize,
 )
 from beliefmerge.formulae import TRUE, conjunction
 
-from oracles import brute_maxcons, subsat
+from oracles import (
+    brute_maxcons,
+    subsat,
+    subset_maxcons,
+    subset_maxcons_disjunction,
+)
 
 
 def _inst(names, mu_text, profile_texts):
@@ -97,3 +106,61 @@ class TestMaxconsDisjunction:
                 si < subsat(j, inst.profile) for j in mu_models
             )
             assert (i in in_disjunction) == (not beaten)
+
+
+def _agrees_with_subset_oracle(inst):
+    assert maxcons(inst) == subset_maxcons(inst)
+    assert maxcons_disjunction(inst) == subset_maxcons_disjunction(inst)
+
+
+def _realized_zero_one(m: int, rows: int, seed: int):
+    rng = random.Random(seed)
+    return realize([[rng.randrange(2) for _ in range(m)] for _ in range(rows)], 1)
+
+
+class TestAgainstSubsetEnumerator:
+    """The drastic-front maxcons against the 2^m subset enumerator it
+    replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("seed", range(180))
+    def test_random_instances(self, seed):
+        # every (n, m) with n in 1..6 and m in 1..5, six seeds each
+        _agrees_with_subset_oracle(random_instance(1 + seed % 6, 1 + seed // 6 % 5, seed))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_realized_zero_one_instances(self, m):
+        _agrees_with_subset_oracle(_realized_zero_one(m, 1 + m % 7 * 2, m))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duplicate_profile_entries(self, seed):
+        inst = random_instance(1 + seed % 4, 1 + seed % 3, seed)
+        doubled = Instance(
+            inst.universe, inst.constraints, list(inst.profile) + list(inst.profile)
+        )
+        _agrees_with_subset_oracle(doubled)
+
+    @pytest.mark.parametrize(
+        "names,mu,profile",
+        [
+            (["x", "y"], "x & y", ["!x", "!y", "!x | !y"]),  # no entry meets mu
+            (["x", "y", "z"], "x & !y & z", ["x", "y", "!z", "z | y", "!x"]),  # one mu model
+            (["x", "y"], "true", ["x", "x", "!x", "y", "y"]),
+        ],
+    )
+    def test_edge_cases(self, names, mu, profile):
+        _agrees_with_subset_oracle(_inst(names, mu, profile))
+
+
+def test_eighteen_sources_wide_mu():
+    """m = 18 sources, 80 mu models: the drastic merge and the table
+    definition of a maxcon, without the 2^18 subset enumeration."""
+    inst = _realized_zero_one(18, 80, 18)
+    drastic = merge_scheme(inst, AllPositiveWeights(), DistanceKind.drastic())
+    assert maxcons_disjunction(inst) == drastic.models
+    found = maxcons(inst)
+    assert found
+    for s in found:
+        body = np.logical_and.reduce([inst.mu_table] + [inst.profile_tables[i] for i in s])
+        assert body.any(), "maxcon must be consistent with mu"
+        for extra in set(range(inst.m)) - s:
+            assert not (body & inst.profile_tables[extra]).any(), "maxcon must be maximal"
