@@ -62,7 +62,7 @@ class Xoshiro256StarStar:
 
     def chance(self, p: Fraction) -> bool:
         """True with exact probability p (0 <= p <= 1)."""
-        if not 0 <= p <= 1:
+        if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
             raise ValueError("probability out of range")
         threshold = (p.numerator << 64) // p.denominator
         return self.next64() < threshold

@@ -4,7 +4,10 @@ Formulae are immutable ASTs; a model is one total truth assignment,
 packed as a bitmask keyed by universe order. Everything here works by
 exhaustive enumeration over the 2^n assignments, which is the intended
 contract at desk scale: ``truth_table`` refuses a universe of more than
-``MAX_VARS`` variables before it allocates anything.
+``MAX_VARS`` variables before it allocates anything. It evaluates a
+formula without recursion over packed 64-world words, one pass over
+2^n / 64 words per AST node; the parser and ``formula_to_text`` still
+recurse once per nesting level.
 """
 
 from __future__ import annotations
@@ -165,39 +168,84 @@ def disjunction(parts: Iterable[Formula]) -> Formula:
     return out
 
 
+# Column words of the variables on bits 0..5 of a world: bit k of the word
+# is world k's value, so bit b of k selects the pattern.
+_LOW_WORDS = np.array(
+    [sum(1 << k for k in range(64) if (k >> b) & 1) for b in range(6)], dtype="<u8"
+)
+_ONES = (1 << 64) - 1
+_FOLD = {
+    And: np.bitwise_and,
+    Or: np.bitwise_or,
+    Implies: lambda a, b: ~a | b,
+    Iff: lambda a, b: ~(a ^ b),
+}
+
+
+def _variable_column(bit: int, words: int) -> np.ndarray:
+    """Packed column of the variable on bit `bit` of a world."""
+    if bit < 6:
+        return _LOW_WORDS[bit : bit + 1].repeat(words)
+    column = np.zeros(words, dtype="<u8")
+    column.reshape(words >> (bit - 5), 2, 1 << (bit - 6))[:, 1] = _ONES
+    return column
+
+
 def truth_table(f: Formula, universe: Universe) -> np.ndarray:
-    """Boolean column of f over all 2^n assignments, in bitmask order."""
+    """Boolean column of f over all 2^n assignments, in bitmask order.
+
+    The formula is evaluated once, without recursion, over packed words:
+    world x is bit x % 64 of little-endian uint64 word x // 64. An
+    explicit stack flattens the AST into a postfix program whose leaves
+    are constants and literals; each literal's column is built at most
+    once per call, and every connective folds the top of a value stack.
+    One unpackbits turns the result into a fresh, writable bool array of
+    length 2^n.
+    """
     n = universe.n
     if n > MAX_VARS:
         raise EnumerationLimitError(
             f"universe has {n} variables, enumeration guard is {MAX_VARS}"
         )
-    idx = np.arange(1 << n, dtype=np.uint32)
+    program = []  # pre-order, right child first: reversed, it is postfix
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind in _FOLD:
+            todo += (g.left, g.right)
+        elif kind is Not:
+            if type(g.operand) is not Var:
+                todo.append(g.operand)
+        elif kind is not Var and kind is not Const:
+            raise TypeError(f"not a formula node: {g!r}")
+        program.append(g)
 
-    def rec(g: Formula) -> np.ndarray:
-        match g:
-            case Const(value):
-                return np.full(idx.shape, value, dtype=bool)
-            case Var(name):
-                j = universe.index(name)
-                return ((idx >> (n - 1 - j)) & 1).astype(bool)
-            case Not(h):
-                return ~rec(h)
-            case And(a, b):
-                return rec(a) & rec(b)
-            case Or(a, b):
-                return rec(a) | rec(b)
-            case Implies(a, b):
-                return ~rec(a) | rec(b)
-            case Iff(a, b):
-                return rec(a) == rec(b)
-        raise TypeError(f"not a formula node: {g!r}")
-
-    table = rec(f)
-    # rec reaches itself through its closure; without this cycle break the
-    # closure and its 2^n idx array live until the cyclic collector runs
-    del rec
-    return table
+    words = 1 << max(n - 6, 0)
+    columns: tuple[dict, dict] = ({}, {})  # literal columns: negative, positive
+    stack: list[np.ndarray] = []
+    for g in reversed(program):
+        kind = type(g)
+        if kind is Var or (kind is Not and type(g.operand) is Var):
+            positive = kind is Var
+            name = g.name if positive else g.operand.name
+            column = columns[positive].get(name)
+            if column is None:
+                column = _variable_column(n - 1 - universe.index(name), words)
+                if not positive:
+                    np.invert(column, out=column)
+                columns[positive][name] = column
+            stack.append(column)
+        elif kind is Not:
+            stack[-1] = ~stack[-1]
+        elif kind is Const:
+            stack.append(np.full(words, _ONES if g.value else 0, dtype="<u8"))
+        else:
+            right = stack.pop()
+            stack[-1] = _FOLD[kind](stack[-1], right)
+    (packed,) = stack
+    bits = np.unpackbits(packed.view(np.uint8), bitorder="little")
+    return bits[: 1 << n].view(bool)
 
 
 def table_bits(table: np.ndarray) -> np.ndarray:

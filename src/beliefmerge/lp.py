@@ -19,6 +19,12 @@ other vectors that is <= d everywhere and < d somewhere. At most m of
 them are positive: a basis has m + 1 non-basic variables, and at least
 one of them is z or the slack of a z - w_c row, since the duals of
 those rows must sum to at least 1.
+
+The answer is sound for any subset of the other vectors in one
+direction: a certificate over a subset excludes d against all of them,
+while a witness over a subset must still be checked against the rest.
+merge._lp_merge relies on this to pass only a few active rows (row
+generation); decide itself always answers about exactly the rows given.
 """
 
 from __future__ import annotations

@@ -4,15 +4,21 @@ An Instance bundles the universe, the integrity constraints and the
 profile, validates satisfiability up front, and keeps the truth tables
 it built. Every operator reads one read-only int64 distance matrix per
 distance kind: row r is the distance vector of the r-th mu model in bit
-order, column j the distance to F_j. A finite scheme scores every row
-against every integer weight vector with one matrix product and keeps
-the column minima. The all-positive scheme asks one exact LP
-(lp.decide) about each distinct row on the Pareto front, and excludes
-every row off it. An excluded model's certificate comes from the same
-LP: at most m other models whose convex combination of vectors beats
-it. Rows are deduplicated with one stable lexsort. A MergeResult holds
-the selected bitmasks as a sorted int64 array with an index into its
-witness vectors per row; its Model views are built on first use.
+order, column j the distance to F_j. The drastic matrix is read off the
+truth tables (0 exactly where a model satisfies F_j); other kinds come
+from the distance kernel. A finite scheme scores every row against
+every integer weight vector with one exact matrix product and keeps the
+column minima. The all-positive scheme excludes every row off the
+Pareto front and decides the distinct front rows by row generation: an
+exact LP (lp.decide) over a few active front rows, a witness checked
+against the whole front by one exact product, the most violated rows
+added until none is left, and every undecided row that ties under a
+found witness selected with it. An excluded model's certificate comes
+from lp.decide too: at most m other models whose convex combination of
+vectors beats it. Rows are deduplicated with one stable lexsort. A
+MergeResult holds the selected bitmasks as a sorted int64 array with an
+index into its witness vectors per row; its Model views are built on
+first use.
 """
 
 from __future__ import annotations
@@ -95,12 +101,17 @@ class Instance:
         the order of mu_models(), one column per profile entry."""
         matrix = self._distances.get(kind)
         if matrix is None:
-            n = self.universe.n
-            matrix = _read_only(np.column_stack([
-                distances_to_bits(kind, self.mu_bits, bits, n)
-                for bits in self._entry_bits
-            ]))
-            self._distances[kind] = matrix
+            if kind.name == "drastic":  # 0 exactly where I satisfies F_j
+                matrix = np.column_stack(
+                    [~table[self.mu_bits] for table in self.profile_tables]
+                ).astype(np.int64)
+            else:
+                n = self.universe.n
+                matrix = np.column_stack([
+                    distances_to_bits(kind, self.mu_bits, bits, n)
+                    for bits in self._entry_bits
+                ])
+            self._distances[kind] = _read_only(matrix)
         return matrix
 
     def vectors(self, kind: DistanceKind) -> tuple[tuple[int, ...], ...]:
@@ -215,30 +226,65 @@ def minimal_for_some_positive(
     return lp.decide(d_i, [e for e in rows[front].tolist() if e != d_i])[0]
 
 
+def _scores(matrix: np.ndarray, vectors) -> np.ndarray:
+    """Exact matrix @ vectors.T for non-negative entries and weights:
+    int64 while no score can reach 2^63, Python ints (object) above."""
+    bound = max(int(matrix.max()), 1) * max(map(sum, vectors))
+    dtype = np.int64 if bound < 2**63 else object
+    return matrix.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
+
+
 def _argmin_merge(inst: Instance, matrix: np.ndarray, vectors) -> MergeResult:
     """Rows minimal under at least one integer weight vector, each with
     the first vector that selects it."""
-    # no score exceeds this bound: int64 below 2^63, exact Python ints above
-    bound = max(int(matrix.max()), 1) * max(map(sum, vectors))
-    dtype = np.int64 if bound < 2**63 else object
-    scores = matrix.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
+    scores = _scores(matrix, vectors)
     hit = scores == scores.min(axis=0)
     rows = np.flatnonzero(hit.any(axis=1))
     return _result(inst, rows, vectors, hit[rows].argmax(axis=1))
 
 
 def _lp_merge(inst: Instance, matrix: np.ndarray) -> MergeResult:
-    """All-positive scheme: one LP per front row; a row off the front is
-    excluded, a front row strictly dominates it."""
+    """All-positive scheme over the Pareto front, by row generation.
+
+    A row off the front is excluded: a front row strictly dominates it.
+    Each undecided front row d is asked of lp.decide against an active
+    set of other front rows, seeded with the m nearest to d in L1. A
+    zero optimum is a certificate over the whole front. A witness is
+    checked against every front row; while some row scores below d, the
+    m most violated join the active set and the LP runs again. A
+    witness that passes selects every undecided front row tying d's
+    score, so those rows are never asked.
+    """
     rows, _, inverse, front = distinct_front(matrix)
-    candidates = rows[front].tolist()
+    on_front = np.flatnonzero(front)
+    front_rows = rows[on_front]
+    m = front_rows.shape[1]
     weights = []
     slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
-    for i, d in zip(np.flatnonzero(front).tolist(), candidates):
-        w = lp.decide(d, [e for e in candidates if e != d])[0]
+    undecided = np.ones(len(front_rows), dtype=bool)
+    for i, d in enumerate(front_rows.tolist()):
+        if not undecided[i]:
+            continue
+        undecided[i] = False
+        l1 = np.abs(front_rows - front_rows[i]).sum(axis=1)
+        nearest = np.argsort(l1, kind="stable")
+        active = np.sort(nearest[nearest != i][:m])
+        while True:
+            w = lp.decide(d, front_rows[active].tolist())[0]
+            if w is None:
+                break
+            scores = _scores(front_rows, [w])[:, 0]
+            violated = np.flatnonzero(scores < scores[i])
+            if len(violated) == 0:
+                break
+            worst = violated[np.argsort(scores[violated], kind="stable")[:m]]
+            active = np.sort(np.concatenate((active, worst)))
         if w is not None:
-            slot[i] = len(weights)
+            ties = undecided & (scores == scores[i])
+            ties[i] = True
+            slot[on_front[ties]] = len(weights)
             weights.append(w)
+            undecided &= ~ties
     witness_index = slot[inverse]
     chosen = np.flatnonzero(witness_index >= 0)
     return _result(inst, chosen, weights, witness_index[chosen])

@@ -5,7 +5,11 @@ Python, deliberately avoiding the package's kernels, LP and geometry so
 the two routes stay independent. The recursive per-model ``evaluate`` is
 the reference for the package's truth tables, and Fourier-Motzkin
 elimination, which the package's integer simplex replaced, stays here as
-the differential oracle for lp.decide. ``unique_rows`` (numpy's
+the differential oracle for lp.decide. Two replaced algorithms are kept
+as they were: ``recursive_truth_table`` (one numpy column per AST node)
+is the reference for the packed-word truth tables, and
+``full_row_lp_merge`` (one lp.decide per front row against every other
+front row) the reference for the all-weights merge's row generation. ``unique_rows`` (numpy's
 ``unique(axis=0)``) is the reference for merge.distinct_front's stable
 lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
 reference for the CLI's array-based ``merge --json`` writer. The subset
@@ -22,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from beliefmerge import DistanceKind, Model, Universe, models_of
+from beliefmerge import DistanceKind, Model, Universe, lp, models_of
 from beliefmerge.formulae import TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
+from beliefmerge.merge import distinct_front
 from beliefmerge.weights import scheme_to_text
 
 
@@ -45,6 +50,34 @@ def evaluate(f: Formula, model: Model) -> bool:
         case Iff(a, b):
             return evaluate(a, model) == evaluate(b, model)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def recursive_truth_table(f: Formula, universe: Universe) -> np.ndarray:
+    """Boolean column of f over all 2^n assignments, in bitmask order,
+    one full column per AST node."""
+    n = universe.n
+    idx = np.arange(1 << n, dtype=np.uint32)
+
+    def rec(g: Formula) -> np.ndarray:
+        match g:
+            case Const(value):
+                return np.full(idx.shape, value, dtype=bool)
+            case Var(name):
+                j = universe.index(name)
+                return ((idx >> (n - 1 - j)) & 1).astype(bool)
+            case Not(h):
+                return ~rec(h)
+            case And(a, b):
+                return rec(a) & rec(b)
+            case Or(a, b):
+                return rec(a) | rec(b)
+            case Implies(a, b):
+                return ~rec(a) | rec(b)
+            case Iff(a, b):
+                return rec(a) == rec(b)
+        raise TypeError(f"not a formula node: {g!r}")
+
+    return rec(f)
 
 
 def subsat(i: Model, profile) -> frozenset[int]:
@@ -328,3 +361,17 @@ def merge_json(result, kind: DistanceKind, scheme) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def full_row_lp_merge(matrix: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """The all-positive merge over a distance matrix with one lp.decide
+    per distinct front row against every other front row: the selected
+    row indices, each mapped to its distinct row's witness."""
+    rows, _, inverse, front = distinct_front(matrix)
+    candidates = rows[front].tolist()
+    found = {}
+    for i, d in zip(np.flatnonzero(front).tolist(), candidates):
+        w = lp.decide(d, [e for e in candidates if e != d])[0]
+        if w is not None:
+            found[i] = w
+    return {r: found[i] for r, i in enumerate(inverse.tolist()) if i in found}

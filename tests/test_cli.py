@@ -430,8 +430,10 @@ class TestExitCodes:
         assert code == 3
         assert "resource" in err.lower() or "guard" in err.lower()
 
-    def test_deep_formula_is_two_without_traceback(self, capsys, tmp_path):
-        path = tmp_path / "deep.json"
+    def test_thousand_term_disjunction_merges(self, capsys, tmp_path):
+        # truth tables are evaluated without recursion, so a flat
+        # disjunction of 1000 full terms at n = 12 is an ordinary input
+        path = tmp_path / "wide.json"
         names = [f"v{i}" for i in range(12)]
         terms = [
             "(" + " & ".join(v if (t >> i) & 1 else f"!{v}" for i, v in enumerate(names)) + ")"
@@ -440,6 +442,28 @@ class TestExitCodes:
         path.write_text(
             json.dumps(
                 {"variables": names, "constraints": " | ".join(terms), "profile": ["v0"]}
+            )
+        )
+        code, out, err = run(capsys, "merge", "--instance", str(path), "--json")
+        assert code == 0, err
+        # the profile v0 selects exactly the terms with v0 true: odd t
+        selected = sorted(
+            (sum(((t >> i) & 1) << (11 - i) for i in range(12)), t)
+            for t in range(1, 1000, 2)
+        )
+        assert json.loads(out)["models"] == [
+            [v if (t >> i) & 1 else f"!{v}" for i, v in enumerate(names)]
+            for _, t in selected
+        ]
+
+    @pytest.mark.parametrize(
+        "constraints", ["(" * 5000 + "v0" + ")" * 5000, "!" * 5000 + "v0"]
+    )
+    def test_deep_nesting_is_two_without_traceback(self, capsys, tmp_path, constraints):
+        path = tmp_path / "deep.json"
+        path.write_text(
+            json.dumps(
+                {"variables": ["v0", "v1"], "constraints": constraints, "profile": ["v0"]}
             )
         )
         code, _, err = run(capsys, "merge", "--instance", str(path), "--json")

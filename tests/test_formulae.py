@@ -1,4 +1,5 @@
 import gc
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from beliefmerge.formulae import (
     truth_table,
 )
 
-from oracles import evaluate
+from oracles import evaluate, recursive_truth_table
 
 XY = Universe(["x", "y"])
 
@@ -196,6 +197,64 @@ class TestModelsOf:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _random_formula(rng, names, depth):
+    """Seeded formula over every connective, with constants at the leaves."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.randrange(len(names) + 2)
+        if leaf >= len(names):
+            return Const(leaf == len(names))
+        return Var(names[leaf])
+    kind = rng.choice([Not, And, Or, Implies, Iff])
+    if kind is Not:
+        return Not(_random_formula(rng, names, depth - 1))
+    return kind(_random_formula(rng, names, depth - 1), _random_formula(rng, names, depth - 1))
+
+
+class TestPackedTables:
+    """Packed-word truth tables against the recursive per-node oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_recursive_oracle(self, n):
+        # n = 5, 6 and 7 straddle the 64-world word
+        u = Universe([f"v{i}" for i in range(n)])
+        rng = random.Random(n)
+        for _ in range(60):
+            f = _random_formula(rng, u.variables, depth=rng.randrange(1, 6))
+            table = truth_table(f, u)
+            assert table.dtype == bool and table.shape == (1 << n,)
+            assert np.array_equal(table, recursive_truth_table(f, u)), formula_to_text(f)
+
+    @pytest.mark.parametrize("connective", [And, Or, Implies, Iff])
+    def test_every_connective_over_literals_and_constants(self, connective):
+        u = Universe([f"v{i}" for i in range(7)])
+        leaves = [Var("v0"), Not(Var("v0")), Var("v6"), Not(Var("v6")), Const(True), Const(False)]
+        for a in leaves:
+            for b in leaves:
+                for f in (connective(a, b), Not(connective(a, b))):
+                    assert np.array_equal(truth_table(f, u), recursive_truth_table(f, u))
+
+    def test_single_variables_at_twenty(self):
+        u = Universe([f"v{i}" for i in range(20)])
+        for name in u.variables:
+            assert np.array_equal(truth_table(Var(name), u), recursive_truth_table(Var(name), u))
+
+    def test_tables_are_fresh_and_writable(self):
+        # literal columns are shared within a call, never across calls
+        u = Universe([f"v{i}" for i in range(8)])
+        f = Var("v7")
+        first = truth_table(f, u)
+        first[:] = True
+        second = truth_table(f, u)
+        assert second.flags.writeable
+        assert np.array_equal(second, recursive_truth_table(f, u))
+        g = Or(Not(Var("v1")), And(Not(Var("v1")), Var("v2")))
+        assert np.array_equal(truth_table(g, u), recursive_truth_table(g, u))
+
+    def test_rejects_a_non_formula_node(self):
+        with pytest.raises(TypeError):
+            truth_table(And(Var("x"), "y"), XY)
 
 
 class TestFormulaFromModels:

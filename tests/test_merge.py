@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,13 +34,15 @@ from beliefmerge.errors import (
 from beliefmerge.formulae import TRUE
 from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
-from beliefmerge.merge import distinct_front
+from beliefmerge.merge import _lp_merge, _scores, distinct_front
 from beliefmerge.weights import expand_scheme, parse_scheme
 
 from oracles import (
     brute_merge_fixed,
     brute_score,
+    brute_vector,
     feasible,
+    full_row_lp_merge,
     minimality_system,
     strictly_dominates,
     unique_rows,
@@ -67,6 +71,13 @@ def blocked():
 
 
 class TestInstance:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_drastic_matrix_from_tables_matches_brute_force(self, seed):
+        inst = random_instance(2 + seed % 3, 1 + seed % 4, seed=seed)
+        assert inst.distances(DD).tolist() == [
+            list(brute_vector(DD, m, inst.profile)) for m in inst.mu_models()
+        ]
+
     def test_rejects_inconsistent_constraints(self):
         u = Universe(["x"])
         with pytest.raises(InconsistentConstraintsError):
@@ -292,6 +303,71 @@ class TestDistinctFront:
         assert front.tolist() == [
             not any(strictly_dominates(e, d) for e in distinct) for d in distinct
         ]
+
+
+def _antichain(rng, m, top, level, count):
+    """A seeded antichain drawn from the vectors with entries in 0..top
+    whose entry sum is level or level + 1."""
+    pool = [v for v in product(range(top + 1), repeat=m) if sum(v) in (level, level + 1)]
+    chosen = []
+    while pool and len(chosen) < count:
+        v = pool.pop(rng.below(len(pool)))
+        if not any(strictly_dominates(u, v) or strictly_dominates(v, u) for u in chosen):
+            chosen.append(v)
+    return np.array(chosen, dtype=np.int64)
+
+
+class TestRowGeneration:
+    """The row-generating all-weights merge against the full-row oracle:
+    the same selected rows, each witness minimal over the whole matrix."""
+
+    def _check(self, matrix):
+        k = len(matrix)
+        stub = SimpleNamespace(universe=Universe([f"v{i}" for i in range(k.bit_length())]),
+                               mu_bits=np.arange(k, dtype=np.int64))
+        result = _lp_merge(stub, matrix)
+        want = full_row_lp_merge(matrix)
+        assert result.bits.tolist() == sorted(want)
+        for row, j in zip(result.bits.tolist(), result.witness_index.tolist()):
+            w = result.weights[j]
+            assert min(w) > 0
+            scores = matrix @ np.array(w, dtype=np.int64)
+            assert scores[row] == scores.min()
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_matrices(self, m, seed):
+        # duplicates and dominated rows go through the inverse
+        rng = Xoshiro256StarStar(100 * m + seed)
+        self._check(_matrix(rng, 5 + rng.below(40), m, 0, 2 + rng.below(5)))
+
+    @pytest.mark.parametrize(
+        "m, top, level, count",
+        [(2, 6, 5, 8), (3, 4, 6, 15), (4, 3, 6, 20), (5, 2, 5, 15),
+         (6, 3, 9, 30), (7, 2, 7, 30), (8, 2, 8, 40)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_level_antichains(self, m, top, level, count, seed):
+        self._check(_antichain(Xoshiro256StarStar(seed), m, top, level, count))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entries_near_two_to_the_62(self, seed):
+        # witness scores pass 2^63 and are checked in Python ints
+        self._check(_matrix(Xoshiro256StarStar(seed), 30, 3, 2**62 - 3, 6))
+
+    def test_front_of_at_most_m_plus_one_rows(self):
+        # every other row is in the seed, so each LP is the full-row one
+        matrix = np.array([[3, 0], [1, 1], [0, 3], [2, 2]], dtype=np.int64)
+        self._check(matrix)
+
+    def test_scores_past_two_to_the_63_are_exact(self):
+        matrix = np.array([[2**62, 1], [1, 2**62]], dtype=np.int64)
+        scores = _scores(matrix, [(3, 1)])
+        assert scores.dtype == object
+        assert scores[:, 0].tolist() == [3 * 2**62 + 1, 3 + 2**62]
+        # the bound max entry * max weight sum decides: 2^63 is past int64
+        assert _scores(matrix, [(1, 1)]).dtype == object
+        assert _scores(matrix - 1, [(1, 1)]).dtype == np.int64
 
 
 class TestMergeResult:
