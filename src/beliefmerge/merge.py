@@ -6,16 +6,19 @@ it built. Every operator reads one read-only int64 distance matrix per
 distance kind: row r is the distance vector of the r-th mu model in bit
 order, column j the distance to F_j. The drastic matrix is read off the
 truth tables (0 exactly where a model satisfies F_j); other kinds come
-from the distance kernel. A finite scheme scores every row against
-every integer weight vector with one exact matrix product and keeps the
-column minima. The all-positive scheme excludes every row off the
-Pareto front and decides the distinct front rows by row generation: an
-exact LP (lp.decide) over a few active front rows, a witness checked
+from the distance kernel. The merge core (``_scheme_merge``) reads only
+mu bitmasks and a matrix, so a caller can merge row and column
+selections of one instance's matrix. A finite scheme scores every row
+against every integer weight vector with one exact matrix product and
+keeps the column minima. The all-positive scheme excludes every row off
+the Pareto front and decides the distinct front rows by row generation:
+an exact LP (lp.decide) over a few active front rows, a witness checked
 against the whole front by one exact product, the most violated rows
 added until none is left, and every undecided row that ties under a
 found witness selected with it. An excluded model's certificate comes
 from lp.decide too: at most m other models whose convex combination of
-vectors beats it. Rows are deduplicated with one stable lexsort. A
+vectors beats it; a selected model's witness is read off the
+all-positive merge. Rows are deduplicated with one stable lexsort. A
 MergeResult holds the selected bitmasks as a sorted int64 array with an
 index into its witness vectors per row; its Model views are built on
 first use.
@@ -38,7 +41,7 @@ from .errors import (
     UniverseMismatchError,
 )
 from .formulae import Formula, Model, Universe, table_bits, truth_table
-from .weights import ExplicitWeights, WeightScheme, expand_scheme
+from .weights import AllPositiveWeights, ExplicitWeights, WeightScheme, expand_scheme
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -71,14 +74,12 @@ class Instance:
         self.mu_bits = _read_only(table_bits(self.mu_table))
         if self.mu_bits.shape[0] == 0:
             raise InconsistentConstraintsError("integrity constraints are unsatisfiable")
-        tables, self._entry_bits = [], []
+        tables = []
         for idx, f in enumerate(profile):
             table = _read_only(truth_table(f, universe))
-            bits = table_bits(table)
-            if bits.shape[0] == 0:
+            if not table.any():
                 raise InconsistentProfileError(idx)
             tables.append(table)
-            self._entry_bits.append(bits)
         self.profile_tables = tuple(tables)
         self._models: tuple[Model, ...] | None = None
         self._distances: dict[DistanceKind, np.ndarray] = {}
@@ -106,10 +107,9 @@ class Instance:
                     [~table[self.mu_bits] for table in self.profile_tables]
                 ).astype(np.int64)
             else:
-                n = self.universe.n
                 matrix = np.column_stack([
-                    distances_to_bits(kind, self.mu_bits, bits, n)
-                    for bits in self._entry_bits
+                    distances_to_bits(kind, self.mu_bits, table_bits(table), self.universe.n)
+                    for table in self.profile_tables
                 ])
             self._distances[kind] = _read_only(matrix)
         return matrix
@@ -166,18 +166,6 @@ class MergeResult:
     __hash__ = None
 
 
-def _result(
-    inst: Instance, rows: np.ndarray, weights, witness_index: np.ndarray
-) -> MergeResult:
-    """The mu models at rows, the j-th with witness weights[witness_index[j]]."""
-    return MergeResult(
-        inst.universe,
-        _read_only(inst.mu_bits[rows]),
-        tuple(weights),
-        _read_only(witness_index),
-    )
-
-
 def distinct_front(
     matrix: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -218,12 +206,9 @@ def merge_fixed(inst: Instance, w, kind: DistanceKind) -> frozenset[Model]:
 def minimal_for_some_positive(
     i: Model, inst: Instance, kind: DistanceKind
 ) -> tuple[int, ...] | None:
-    """An integer weight vector under which i is minimal, if any exists."""
-    pos = inst.model_index(i)
-    matrix = inst.distances(kind)
-    d_i = matrix[pos].tolist()
-    rows, _, _, front = distinct_front(matrix)
-    return lp.decide(d_i, [e for e in rows[front].tolist() if e != d_i])[0]
+    """i's witness in the all-positive merge, or None when i is excluded."""
+    inst.model_index(i)
+    return merge_scheme(inst, AllPositiveWeights(), kind).witnesses.get(i)
 
 
 def _scores(matrix: np.ndarray, vectors) -> np.ndarray:
@@ -234,17 +219,19 @@ def _scores(matrix: np.ndarray, vectors) -> np.ndarray:
     return matrix.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
 
 
-def _argmin_merge(inst: Instance, matrix: np.ndarray, vectors) -> MergeResult:
+def _argmin_merge(matrix: np.ndarray, vectors):
     """Rows minimal under at least one integer weight vector, each with
-    the first vector that selects it."""
+    the first vector that selects it: (rows, vectors, witness_index),
+    row rows[j] with witness vectors[witness_index[j]]."""
     scores = _scores(matrix, vectors)
     hit = scores == scores.min(axis=0)
     rows = np.flatnonzero(hit.any(axis=1))
-    return _result(inst, rows, vectors, hit[rows].argmax(axis=1))
+    return rows, vectors, hit[rows].argmax(axis=1)
 
 
-def _lp_merge(inst: Instance, matrix: np.ndarray) -> MergeResult:
-    """All-positive scheme over the Pareto front, by row generation.
+def _lp_merge(matrix: np.ndarray):
+    """All-positive scheme over the Pareto front, by row generation;
+    returns (rows, weights, witness_index) as _argmin_merge does.
 
     A row off the front is excluded: a front row strictly dominates it.
     Each undecided front row d is asked of lp.decide against an active
@@ -287,21 +274,26 @@ def _lp_merge(inst: Instance, matrix: np.ndarray) -> MergeResult:
             undecided &= ~ties
     witness_index = slot[inverse]
     chosen = np.flatnonzero(witness_index >= 0)
-    return _result(inst, chosen, weights, witness_index[chosen])
+    return chosen, weights, witness_index[chosen]
 
 
-def _scheme_merge(
-    inst: Instance, matrix: np.ndarray, scheme: WeightScheme, kind: DistanceKind
-) -> MergeResult:
-    vectors = expand_scheme(scheme, kind, inst.universe.n, matrix.shape[1])
+def _scheme_merge(universe: Universe, mu_bits: np.ndarray, matrix: np.ndarray,
+                  scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
+    """The scheme's merge of the worlds mu_bits whose distance vectors
+    are the rows of matrix, one column per profile entry."""
+    vectors = expand_scheme(scheme, kind, universe.n, matrix.shape[1])
     if vectors is None:
-        return _lp_merge(inst, matrix)
-    return _argmin_merge(inst, matrix, vectors)
+        rows, weights, witness_index = _lp_merge(matrix)
+    else:
+        rows, weights, witness_index = _argmin_merge(matrix, vectors)
+    return MergeResult(
+        universe, _read_only(mu_bits[rows]), tuple(weights), _read_only(witness_index)
+    )
 
 
 def merge_scheme(inst: Instance, scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
     """Union of the fixed-weight merges over every vector the scheme admits."""
-    return _scheme_merge(inst, inst.distances(kind), scheme, kind)
+    return _scheme_merge(inst.universe, inst.mu_bits, inst.distances(kind), scheme, kind)
 
 
 def undominated(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
@@ -357,4 +349,4 @@ def multi_source_merge(
     to_source = np.repeat(
         np.eye(len(sources), dtype=np.int64), [len(s) for s in sources], axis=0
     )
-    return _scheme_merge(inst, matrix @ to_source, scheme, kind)
+    return _scheme_merge(universe, inst.mu_bits, matrix @ to_source, scheme, kind)

@@ -8,6 +8,11 @@ Every checker is boolean algebra over truth tables in bitmask order: the
 instance's mu and profile tables, the mu' table, and each merge written
 as a table over the 2^n worlds. Models are built only for a failing
 verdict's witness, as lists in bit order.
+
+d(I, F_j) does not depend on mu, so every derived profile is an index
+view of the instance's distance matrix: IC5/IC6 split its columns,
+IC7/IC8 keep the rows where mu' holds, arbitration appends the last
+column again, and majority repeats the second column of one pair.
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .distance import DistanceKind, distances_to_bits
-from .errors import InconsistentConstraintsError
-from .formulae import And, Formula, Model, TRUE, Universe, table_bits, truth_table
-from .merge import Instance, merge_scheme
+from .formulae import Formula, Model, TRUE, Universe, table_bits, truth_table
+from .merge import Instance, _scheme_merge
 from .weights import AllPositiveWeights, ExplicitWeights, WeightScheme, expand_scheme
 
 @dataclass(frozen=True)
@@ -42,10 +46,15 @@ class Verdict:
         return "pass" if self.passed else "fail"
 
 
-def _merged(cfg: OperatorConfig, inst: Instance) -> np.ndarray:
-    """The merge as a boolean truth table over the 2^n worlds."""
+def _merged(
+    cfg: OperatorConfig, inst: Instance, rows=slice(None), columns=slice(None)
+) -> np.ndarray:
+    """The merge of the mu models at rows against the profile entries at
+    columns, as a boolean truth table over the 2^n worlds."""
+    matrix = inst.distances(cfg.kind)[rows][:, columns]
+    result = _scheme_merge(inst.universe, inst.mu_bits[rows], matrix, cfg.scheme, cfg.kind)
     table = np.zeros_like(inst.mu_table)
-    table[merge_scheme(inst, cfg.scheme, cfg.kind).bits] = True
+    table[result.bits] = True
     return table
 
 
@@ -155,15 +164,14 @@ def _split_check(
     scheme_left: WeightScheme,
     scheme_right: WeightScheme,
 ):
+    """(conjoined merges of the two column halves, product-scheme merge)."""
     if not 1 <= split < inst.m:
         raise ValueError(f"split must be in 1..{inst.m - 1}")
-    left = Instance(inst.universe, inst.constraints, inst.profile[:split])
-    right = Instance(inst.universe, inst.constraints, inst.profile[split:])
     combined_scheme = product_scheme(
         scheme_left, scheme_right, split, inst.m - split, kind, inst.universe.n
     )
-    both = (_merged(OperatorConfig(kind, scheme_left), left)
-            & _merged(OperatorConfig(kind, scheme_right), right))
+    both = (_merged(OperatorConfig(kind, scheme_left), inst, columns=slice(None, split))
+            & _merged(OperatorConfig(kind, scheme_right), inst, columns=slice(split, None)))
     return both, _merged(OperatorConfig(kind, combined_scheme), inst)
 
 
@@ -195,25 +203,27 @@ def check_ic6(
     return _fail(inst.universe, extra=extra) if extra.any() else Verdict(True)
 
 
+def _narrowing(cfg: OperatorConfig, inst: Instance, mu_prime: Formula):
+    """(merge, its models satisfying mu', the rows of mu ∧ mu' in inst's matrix)."""
+    merged, keep = _merged(cfg, inst), truth_table(mu_prime, inst.universe)
+    return merged, merged & keep, keep[inst.mu_bits]
+
+
 def check_ic7(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """Restricting after merging never beats merging under the restriction."""
-    lhs = _merged(cfg, inst) & truth_table(mu_prime, inst.universe)
-    try:
-        narrowed = Instance(inst.universe, And(inst.constraints, mu_prime), inst.profile)
-    except InconsistentConstraintsError:
-        empty = not lhs.any()
-        return Verdict(empty, vacuous=empty)
-    extra = lhs & ~_merged(cfg, narrowed)
+    _, lhs, rows = _narrowing(cfg, inst, mu_prime)
+    if not rows.any():  # mu ∧ mu' is unsatisfiable, so lhs is empty
+        return Verdict(True, vacuous=True)
+    extra = lhs & ~_merged(cfg, inst, rows=rows)
     return _fail(inst.universe, extra=extra) if extra.any() else Verdict(True)
 
 
 def check_ic8(cfg: OperatorConfig, inst: Instance, mu_prime: Formula) -> Verdict:
     """The converse inclusion; fails for all-positive Hamming merging."""
-    merged = _merged(cfg, inst)
-    if not (merged & truth_table(mu_prime, inst.universe)).any():
+    merged, lhs, rows = _narrowing(cfg, inst, mu_prime)
+    if not lhs.any():
         return Verdict(True, vacuous=True)
-    narrowed = Instance(inst.universe, And(inst.constraints, mu_prime), inst.profile)
-    new = _merged(cfg, narrowed) & ~merged
+    new = _merged(cfg, inst, rows=rows) & ~merged
     return _fail(inst.universe, new_models=new) if new.any() else Verdict(True)
 
 
@@ -312,8 +322,8 @@ def check_majority(
     with no integrity constraint (mu = TRUE)."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    inst = Instance(universe, TRUE, [f1] + [f2] * reps)
-    stray = _merged(cfg, inst) & ~inst.profile_tables[-1]
+    pair = Instance(universe, TRUE, [f1, f2])
+    stray = _merged(cfg, pair, columns=[0] + [1] * reps) & ~pair.profile_tables[1]
     return _fail(universe, models=stray) if stray.any() else Verdict(True)
 
 
@@ -330,8 +340,5 @@ def check_arbitration_duplicate(cfg: OperatorConfig, inst: Instance) -> Verdict:
     """Duplicating the last source must not change the all-positive merge."""
     if not isinstance(cfg.scheme, AllPositiveWeights):
         raise ValueError("duplicate invariance is only claimed for the all-positive scheme")
-    doubled = Instance(
-        inst.universe, inst.constraints, list(inst.profile) + [inst.profile[-1]]
-    )
-    a, b = _merged(cfg, inst), _merged(cfg, doubled)
+    a, b = _merged(cfg, inst), _merged(cfg, inst, columns=[*range(inst.m), inst.m - 1])
     return Verdict(True) if np.array_equal(a, b) else _fail(inst.universe, base=a, doubled=b)

@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,14 +321,11 @@ class TestRowGeneration:
     the same selected rows, each witness minimal over the whole matrix."""
 
     def _check(self, matrix):
-        k = len(matrix)
-        stub = SimpleNamespace(universe=Universe([f"v{i}" for i in range(k.bit_length())]),
-                               mu_bits=np.arange(k, dtype=np.int64))
-        result = _lp_merge(stub, matrix)
+        rows, weights, witness_index = _lp_merge(matrix)
         want = full_row_lp_merge(matrix)
-        assert result.bits.tolist() == sorted(want)
-        for row, j in zip(result.bits.tolist(), result.witness_index.tolist()):
-            w = result.weights[j]
+        assert rows.tolist() == sorted(want)
+        for row, j in zip(rows.tolist(), witness_index.tolist()):
+            w = weights[j]
             assert min(w) > 0
             scores = matrix @ np.array(w, dtype=np.int64)
             assert scores[row] == scores.min()

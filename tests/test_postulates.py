@@ -29,6 +29,8 @@ from beliefmerge.formulae import TRUE, And, Or, formula_from_models
 from beliefmerge.postulates import (
     check_ic0,
     check_ic4,
+    check_ic5,
+    check_ic6,
     check_ic7,
     check_ic8,
     product_scheme,
@@ -397,9 +399,11 @@ def _random_models_formula(rng, u, size):
 def test_table_native_checkers_match_per_model_filter():
     """Each checker that reads truth tables gives the verdict and witness
     models that filtering the merged set with the per-model oracle gives.
-    Profile entries with one to three models make every failing branch
-    reachable on a few seeds."""
-    failures = dict.fromkeys(("ic4", "ic8", "majority", "disjunctive"), 0)
+    The derived profiles the checkers read as row and column selections
+    (the split halves, mu ∧ mu', the repeated entry, the duplicated
+    source) are rebuilt here as Instances. Profile entries with one to
+    three models make every failing branch reachable on a few seeds."""
+    failures = dict.fromkeys(("ic4", "ic6", "ic8", "majority", "disjunctive"), 0)
     for seed in range(24):
         rng = Xoshiro256StarStar(seed)
         n = 3 + seed % 3
@@ -442,6 +446,31 @@ def test_table_native_checkers_match_per_model_filter():
                 _assert_verdict(verdict, merged - covered if not conflict else set())
                 failures["disjunctive"] += not verdict.passed
 
+                m = len(profile)
+                for split in range(1, m):
+                    left = Instance(u, mu, profile[:split])
+                    right = Instance(u, mu, profile[split:])
+                    both = (merge_scheme(left, scheme, kind).models
+                            & merge_scheme(right, scheme, kind).models)
+                    product = product_scheme(scheme, scheme, split, m - split, kind, n)
+                    combined = merge_scheme(inst, product, kind).models
+                    verdict = check_ic5(kind, inst, split, scheme, scheme)
+                    _assert_verdict(verdict, both - combined, "extra")
+                    verdict = check_ic6(kind, inst, split, scheme, scheme)
+                    assert verdict.vacuous == (not both)
+                    _assert_verdict(verdict, combined - both if both else set(), "extra")
+                    failures["ic6"] += not verdict.passed
+
+            doubled = Instance(u, mu, profile + [profile[-1]])
+            merged = merge_scheme(inst, ALL, kind).models
+            twice = merge_scheme(doubled, ALL, kind).models
+            verdict = check_arbitration_duplicate(OperatorConfig(kind, ALL), inst)
+            assert verdict.passed == (merged == twice)
+            if not verdict.passed:
+                assert (set(verdict.witness["base"]), set(verdict.witness["doubled"])) == (
+                    merged, twice
+                )
+
             for scheme in (ALL, EqualWeights(), ExplicitWeights([[3, 1]])):
                 cfg = OperatorConfig(kind, scheme)
                 merged = merge_scheme(pair, scheme, kind).models
@@ -451,5 +480,38 @@ def test_table_native_checkers_match_per_model_filter():
                 if not verdict.passed:
                     assert verdict.witness["consistent_with"] == (1 if with_f1 else 2)
                 failures["ic4"] += not verdict.passed
-    # the seeds must reach the failing branches, not only the passing ones
+    # the seeds must reach the failing branches, not only the passing ones;
+    # ic5 and arbitration are theorems of these operators and never fail
     assert all(failures.values()), failures
+
+
+def test_derived_profiles_build_no_instance(monkeypatch):
+    """ic5 to ic8 and arbitration merge row and column selections of the
+    instance they are given; majority builds one two-entry instance and
+    repeats its second column."""
+    inst = random_instance(3, 3, seed=5)
+    f1, f2 = inst.profile[:2]
+    built = []
+    init = Instance.__init__
+
+    def counting(self, universe, constraints, profile):
+        built.append(len(profile))
+        init(self, universe, constraints, profile)
+
+    monkeypatch.setattr(Instance, "__init__", counting)
+    for kind in (DD, DH):
+        for scheme in (ALL, EqualWeights()):
+            cfg = OperatorConfig(kind, scheme)
+            for split in (1, 2):
+                check_ic5(kind, inst, split, scheme, scheme)
+                check_ic6(kind, inst, split, scheme, scheme)
+            # mu' = mu keeps every row, so both merges of ic7 and ic8 run
+            check_ic7(cfg, inst, inst.constraints)
+            check_ic8(cfg, inst, inst.constraints)
+            assert built == []
+            for reps in (1, 2, 5):
+                check_majority(cfg, inst.universe, f1, f2, reps)
+                assert built == [2]
+                built.clear()
+        check_arbitration_duplicate(OperatorConfig(kind, ALL), inst)
+        assert built == []
