@@ -1,29 +1,32 @@
 """Hot loop behind model-set distance computation.
 
-The one kernel that dominates runtime takes every candidate bitmask to
-its minimum remapped Hamming distance against a target bitmask array:
+The one kernel that dominates runtime fills a whole distance matrix from
+candidate bitmasks and the truth tables of the target formulas:
 
-    out[i] = min over j of table[popcount(cands[i] ^ targets[j])]
+    out[i, j] = min over worlds t with tables[j][t] of table[popcount(cands[i] ^ t)]
 
-It has two exact paths, chosen by size:
+A table flat above 0 (drastic) reads a column off the truth table; any
+other column takes one of two exact paths, chosen from its sizes alone:
 
 * the hypercube sweep: for every world x of the n-bit cube, the set of
   Hamming counts at which some target lies, in O(n * 2^n) word
-  operations; each candidate then reads the best table value off its
-  world's set
+  operations, for all sweep columns at once; each candidate then reads
+  the best table value off its world's set
 * pairwise: chunked broadcasting over |cands| x |targets|, cheaper when
   that product is small next to the cube
-
-Both are plain numpy; the choice is made per call from the sizes alone.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from .errors import UnsatisfiableFormulaError
+
 _CHUNK = 4096  # pairwise path materializes a CHUNK x len(targets) block
-# measured fixed cost of one sweep pass, in element operations
-_SWEEP_OVERHEAD = 2048
+_SWEEP_OVERHEAD = 2048  # measured fixed cost of one sweep pass, in element operations
+_CUBE_CELLS = 1 << 20  # per sweep batch: one column at a time from n = 20 on
 
 
 def _min_mapped_numpy(cands: np.ndarray, targets: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -34,18 +37,17 @@ def _min_mapped_numpy(cands: np.ndarray, targets: np.ndarray, table: np.ndarray)
     return out
 
 
-def _hamming_sets(targets: np.ndarray, n: int) -> np.ndarray:
-    """Per world x of the n-bit cube, a mask with bit h set iff some
-    target lies at Hamming distance exactly h from x. Counts 0..n fit
-    uint32 for n <= 31, far above what enumerating 2^n worlds allows."""
-    reach = np.zeros(1 << n, dtype=np.uint32)
-    reach[targets] = 1
-    size = 1 << max(n - 1, 0)
+def _sweep(reach: np.ndarray, n: int) -> np.ndarray:
+    """In place over (k, 2^n) uint32 rows seeded 1 at their targets: bit h
+    of reach[j, x] ends up set iff some target of row j lies at Hamming
+    distance h from x. Counts 0..n fit uint32 for any n this can enumerate."""
+    k = reach.shape[0]
+    size = k << max(n - 1, 0)
     from_low, from_high = np.empty(size, reach.dtype), np.empty(size, reach.dtype)
-    for k in range(n):
-        # R[x] |= R[x ^ 2^k] << 1, with x on both sides of bit k
-        pairs = reach.reshape(-1, 2, 1 << k)
-        low, high = pairs[:, 0, :], pairs[:, 1, :]
+    for b in range(n):
+        # R[x] |= R[x ^ 2^b] << 1, with x on both sides of bit b
+        pairs = reach.reshape(k, -1, 2, 1 << b)
+        low, high = pairs[:, :, 0, :], pairs[:, :, 1, :]
         np.left_shift(low, 1, out=from_low.reshape(low.shape))
         np.left_shift(high, 1, out=from_high.reshape(high.shape))
         low |= from_high.reshape(low.shape)
@@ -53,10 +55,12 @@ def _hamming_sets(targets: np.ndarray, n: int) -> np.ndarray:
     return reach
 
 
-def _min_mapped_sweep(cands: np.ndarray, targets: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
-    sets = _hamming_sets(targets, n)[cands]
+def _read_sets(sets: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The smallest table[h] over the bits h of each non-zero set."""
+    if (table[1:] >= table[:-1]).all():  # the lowest bit, the nearest count, is best
+        return table[np.bitwise_count((sets & -sets) - 1)]
     values = sorted(set(table.tolist()))
-    out = np.full(cands.shape[0], values[-1], dtype=np.int64)
+    out = np.full(sets.shape, values[-1], dtype=np.int64)
     # smallest value last, so it wins wherever its counts are reached
     for v in values[-2::-1]:
         mask = sum(1 << h for h in np.flatnonzero(table == v).tolist())
@@ -64,17 +68,31 @@ def _min_mapped_sweep(cands: np.ndarray, targets: np.ndarray, table: np.ndarray,
     return out
 
 
-def min_mapped_distance(
-    cands: np.ndarray, targets: np.ndarray, table: np.ndarray, n: int
+def min_mapped_matrix(
+    cands: np.ndarray, tables: Sequence[np.ndarray], table: np.ndarray, n: int
 ) -> np.ndarray:
-    """Minimum of table[popcount(c ^ t)] over targets, per candidate.
-
-    Every bitmask lies below 2^n and table covers the counts 0..n."""
-    if targets.shape[0] == 0:
-        raise ValueError("empty target set")
+    """(len(cands), len(tables)) int64 matrix of the minimum of
+    table[popcount(c ^ t)] over the worlds t where tables[j] holds, per
+    candidate c and column j. Bitmasks lie below 2^n, truth tables have
+    2^n entries, table covers the counts 0..n; an all-false one raises."""
     cands = np.ascontiguousarray(cands, dtype=np.int64)
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
     table = np.ascontiguousarray(table, dtype=np.int64)
-    if cands.shape[0] * targets.shape[0] >= n * ((1 << n) + _SWEEP_OVERHEAD):
-        return _min_mapped_sweep(cands, targets, table, n)
-    return _min_mapped_numpy(cands, targets, table)
+    out = np.empty((cands.shape[0], len(tables)), dtype=np.int64)
+    flat = len(set(table[1:].tolist())) <= 1
+    sweep = []
+    for j, targets in enumerate(tables):
+        count = np.count_nonzero(targets)
+        if count == 0:
+            raise UnsatisfiableFormulaError("distance to an unsatisfiable formula is undefined")
+        if flat:  # 0 exactly on a target, the one positive value elsewhere
+            np.multiply(~targets[cands], table[-1], out=out[:, j])
+        elif cands.shape[0] * count >= n * ((1 << n) + _SWEEP_OVERHEAD):
+            sweep.append(j)
+        else:
+            out[:, j] = _min_mapped_numpy(cands, np.flatnonzero(targets), table)
+    per_batch = max(1, _CUBE_CELLS >> n)
+    for lo in range(0, len(sweep), per_batch):
+        cols = sweep[lo : lo + per_batch]  # seeded by the truth tables themselves
+        sets = _sweep(np.array([tables[j] for j in cols], dtype=np.uint32), n)[:, cands]
+        out[:, cols] = _read_sets(sets, table).T
+    return out

@@ -4,20 +4,21 @@ Every supported distance factors through the Hamming count of differing
 bits: drastic collapses it to {0, 1}, plain Hamming keeps it, and a
 remap table sends each count to an arbitrary value (subject to 0 -> 0
 and k > 0 -> positive, which preserve d(I, I) = 0 and d(I, J) > 0).
-``distances_to_bits`` computes one column of distances from candidate
-bitmasks to a formula's models; ``merge.Instance.distances`` stacks one
-column per profile entry into the instance's distance matrix.
+``distance_matrix`` computes, by one distance-kernel call, the distances
+from candidate bitmasks (rows) to formulas given by their truth tables
+(columns): ``merge.Instance.distances`` over the mu models and profile.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import DistanceTableError, UnsatisfiableFormulaError
+from .errors import DistanceTableError
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,10 @@ class DistanceKind:
         return f"table[{body}{tail}]"
 
 
-def distances_to_bits(
-    kind: DistanceKind,
-    cand_bits: np.ndarray,
-    target_bits: np.ndarray,
-    n: int,
+def distance_matrix(
+    kind: DistanceKind, cand_bits: np.ndarray, tables: Sequence[np.ndarray], n: int
 ) -> np.ndarray:
-    """Distance from each candidate bitmask to the formula given by its
-    satisfying bitmasks; raises on an empty target set."""
-    if target_bits.shape[0] == 0:
-        raise UnsatisfiableFormulaError(
-            "distance to an unsatisfiable formula is undefined"
-        )
-    return _kernels.min_mapped_distance(cand_bits, target_bits, kind.table_array(n), n)
+    """int64 matrix of the distance from each candidate bitmask (rows)
+    to each formula given by its truth table (columns); raises
+    UnsatisfiableFormulaError on an unsatisfiable formula."""
+    return _kernels.min_mapped_matrix(cand_bits, tables, kind.table_array(n), n)

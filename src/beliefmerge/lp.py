@@ -30,7 +30,7 @@ generation); decide itself always answers about exactly the rows given.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -89,12 +89,12 @@ def decide(
         denom = _pivot(rows, r, s, denom)
         nonbasic[s], basic[r] = basic[r], nonbasic[s]
 
-    if rows[0][-1] > 0:
-        values = [Fraction(0)] * m
+    if rows[0][-1] > 0:  # then every w_c >= z* > 0 is basic
+        values = [0] * m
         for i in range(1, len(rows)):
             if basic[i] < m:
-                values[basic[i]] = Fraction(rows[i][-1], denom)
-        return integer_witness(values), None
+                values[basic[i]] = rows[i][-1]
+        return _witness(values, denom), None
     duals = {
         v - m - 1: rows[0][j]
         for j, v in enumerate(nonbasic)
@@ -104,12 +104,17 @@ def decide(
     return None, {j: Fraction(y, total) for j, y in sorted(duals.items())}
 
 
-def integer_witness(w: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators of a positive rational vector; same argmin set
-    by homogeneity of the scalar product."""
-    vals = [Fraction(x) for x in w]
-    for x in vals:
+def _witness(values: list[int], denom: int) -> tuple[int, ...]:
+    """integer_witness(values / denom): the reduced denominators' lcm is denom / g."""
+    g = gcd(denom, *values)
+    return tuple(v // g for v in values)
+
+
+def integer_witness(w: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """Clear denominators of a positive vector of ints and Fractions;
+    same argmin set by homogeneity of the scalar product."""
+    for x in w:
         if x <= 0:
             raise ValueError(f"witness entries must be positive, got {x}")
-    scale = lcm(*(x.denominator for x in vals))
-    return tuple(int(x * scale) for x in vals)
+    scale = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (scale // x.denominator) for x in w)

@@ -4,10 +4,9 @@ An Instance bundles the universe, the integrity constraints and the
 profile, validates satisfiability up front, and keeps the truth tables
 it built. Every operator reads one read-only int64 distance matrix per
 distance kind: row r is the distance vector of the r-th mu model in bit
-order, column j the distance to F_j. The drastic matrix is read off the
-truth tables (0 exactly where a model satisfies F_j); other kinds come
-from the distance kernel. The merge core (``_scheme_merge``) reads only
-mu bitmasks and a matrix, so a caller can merge row and column
+order, column j the distance to F_j, all from one distance-kernel call
+over the profile truth tables. The merge core (``_scheme_merge``) reads
+only mu bitmasks and a matrix, so a caller can merge row and column
 selections of one instance's matrix. A finite scheme scores every row
 against every integer weight vector with one exact matrix product and
 keeps the column minima. The all-positive scheme excludes every row off
@@ -33,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lp
-from .distance import DistanceKind, distances_to_bits
+from .distance import DistanceKind, distance_matrix
 from .errors import (
     DistanceTableError,
     InconsistentConstraintsError,
@@ -100,19 +99,11 @@ class Instance:
     def distances(self, kind: DistanceKind) -> np.ndarray:
         """Read-only int64 matrix of d(I, F_j): one row per mu model, in
         the order of mu_models(), one column per profile entry."""
-        matrix = self._distances.get(kind)
-        if matrix is None:
-            if kind.name == "drastic":  # 0 exactly where I satisfies F_j
-                matrix = np.column_stack(
-                    [~table[self.mu_bits] for table in self.profile_tables]
-                ).astype(np.int64)
-            else:
-                matrix = np.column_stack([
-                    distances_to_bits(kind, self.mu_bits, table_bits(table), self.universe.n)
-                    for table in self.profile_tables
-                ])
-            self._distances[kind] = _read_only(matrix)
-        return matrix
+        if kind not in self._distances:
+            self._distances[kind] = _read_only(
+                distance_matrix(kind, self.mu_bits, self.profile_tables, self.universe.n)
+            )
+        return self._distances[kind]
 
     def vectors(self, kind: DistanceKind) -> tuple[tuple[int, ...], ...]:
         """Distance vectors d(I, F_1..F_m) as int tuples, aligned with mu_models()."""

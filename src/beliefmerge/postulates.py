@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distance import DistanceKind, distances_to_bits
+from .distance import DistanceKind, distance_matrix
 from .formulae import Formula, Model, TRUE, Universe, table_bits, truth_table
 from .merge import Instance, _scheme_merge
 from .weights import AllPositiveWeights, ExplicitWeights, WeightScheme, expand_scheme
@@ -299,13 +299,14 @@ def closest_pairs_merge(inst: Instance) -> frozenset[Model]:
     """
     if inst.m != 2:
         raise ValueError("closest pairs are stated for two-formula profiles")
-    b1, b2 = (table_bits(t) for t in inst.profile_tables)
+    t1, t2 = inst.profile_tables
+    b1, b2 = table_bits(t1), table_bits(t2)
     # a model is in some closest pair iff its distance to the other
     # formula is the global minimum
     n = inst.universe.n
     hamming = DistanceKind.hamming()
-    d1 = distances_to_bits(hamming, b1, b2, n)
-    d2 = distances_to_bits(hamming, b2, b1, n)
+    d1 = distance_matrix(hamming, b1, [t2], n)[:, 0]
+    d2 = distance_matrix(hamming, b2, [t1], n)[:, 0]
     best = d1.min()
     chosen = np.concatenate([b1[d1 == best], b2[d2 == best]])
     return frozenset(Model(inst.universe, b) for b in chosen.tolist())

@@ -1,7 +1,8 @@
 """Weight vectors and weight schemes.
 
-An explicit scheme keeps its strictly positive rationals as written.
-All comparisons the engine makes are homogeneous, so positive-rational
+An explicit scheme keeps its strictly positive rationals as written,
+an integral one as an int and only a true rational as a Fraction. All
+comparisons the engine makes are homogeneous, so positive-rational
 feasibility agrees with the positive-integer convention once
 denominators are cleared: a finite scheme expands to integer vectors,
 and public witnesses are always reported as integers.
@@ -16,11 +17,25 @@ from typing import Sequence, Union
 from .distance import DistanceKind
 from .lp import integer_witness
 
-WeightVector = tuple[Fraction, ...]
+WeightVector = tuple[Union[int, Fraction], ...]
+
+
+def _weight(v) -> int | Fraction:
+    """v as an int when integral, else as a Fraction. A string is read
+    by int() when that parses, else by Fraction(), with Fraction's errors."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif type(v) is int:
+        return v
+    v = Fraction(v)
+    return int(v) if v.denominator == 1 else v
 
 
 def as_weight_vector(values: Sequence) -> WeightVector:
-    out = tuple(Fraction(v) for v in values)
+    out = tuple(map(_weight, values))
     if not out:
         raise ValueError("weight vector must be non-empty")
     for w in out:
@@ -116,11 +131,11 @@ def parse_scheme(text: str) -> WeightScheme:
     if text.startswith("expert:"):
         return ExpertWeights(int(text.split(":", 1)[1]))
     if text.startswith("list:"):
-        body = text.split(":", 1)[1]
+        tokens = [part.split(",") for part in text.split(":", 1)[1].split(";")]
+        if any("" in part for part in tokens):
+            raise ValueError(f"empty entry in weight scheme {text!r}")
         try:
-            vectors = [
-                [Fraction(x) for x in part.split(",") if x] for part in body.split(";")
-            ]
+            vectors = [[_weight(x) for x in part] for part in tokens]
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in weight scheme {text!r}") from None
         return ExplicitWeights(vectors)

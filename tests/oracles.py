@@ -15,6 +15,11 @@ lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
 reference for the CLI's array-based ``merge --json`` writer. The subset
 enumerator ``subset_maxcons``, which the drastic Pareto front replaced,
 is the differential oracle for maxcons and its disjunction.
+``sweep_column`` (one hypercube sweep per column from scattered target
+bitmasks, read out with one masked pass per table value) is the
+reference for the batched, truth-table-seeded distance kernel, and
+``fraction_witness`` (the point as Fractions, denominators cleared) the
+reference for lp.decide's gcd-reduced witness.
 """
 
 import json
@@ -375,3 +380,31 @@ def full_row_lp_merge(matrix: np.ndarray) -> dict[int, tuple[int, ...]]:
         if w is not None:
             found[i] = w
     return {r: found[i] for r, i in enumerate(inverse.tolist()) if i in found}
+
+
+def sweep_column(cands: np.ndarray, targets: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """min over targets t of table[popcount(c ^ t)] per candidate c, by
+    one hypercube sweep over the n-bit cube: reach[x] gets bit h set iff
+    some target lies at Hamming distance h from x."""
+    reach = np.zeros(1 << n, dtype=np.uint32)
+    reach[targets] = 1
+    for k in range(n):
+        pairs = reach.reshape(-1, 2, 1 << k)
+        low, high = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+        pairs[:, 0, :] |= high << 1
+        pairs[:, 1, :] |= low << 1
+    sets = reach[cands]
+    values = sorted(set(table.tolist()))
+    out = np.full(len(cands), values[-1], dtype=np.int64)
+    for v in values[-2::-1]:
+        mask = sum(1 << h for h in np.flatnonzero(table == v).tolist())
+        out[(sets & mask) != 0] = v
+    return out
+
+
+def fraction_witness(values: Sequence[int], denom: int) -> tuple[int, ...]:
+    """The integer witness of the rational point values / denom, through
+    Fractions: each entry reduced, then every denominator cleared."""
+    point = [Fraction(v, denom) for v in values]
+    scale = lcm(*(x.denominator for x in point))
+    return tuple(int(x * scale) for x in point)

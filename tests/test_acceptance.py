@@ -8,6 +8,7 @@ status line per criterion.
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from beliefmerge import (
@@ -39,8 +40,11 @@ from beliefmerge import (
     replicated_blocks,
     undominated,
 )
+from beliefmerge import merge as merge_module
+from beliefmerge import postulates as postulates_module
 from beliefmerge._rng import Xoshiro256StarStar
-from beliefmerge.formulae import TRUE, Or, formula_from_models, models_of
+from beliefmerge.distance import distance_matrix
+from beliefmerge.formulae import TRUE, Or, formula_from_models, models_of, truth_table
 from beliefmerge.maxcons import maxcons_disjunction as _disj
 from beliefmerge.merge import Instance as _Instance
 from beliefmerge.postulates import Verdict
@@ -257,8 +261,37 @@ def test_criterion_08_postulates():
     report(8, "postulates: exact verdict pattern")
 
 
-def test_criterion_09_disjunctive_property():
-    # closest pairs = expert merge, exhaustively over model-set pairs
+def _memo_by_identity(fn):
+    """fn memoised on the identity of its arguments; each argument is
+    held with the result, so no id is reused while the memo lives."""
+    held = {}
+
+    def memo(*args):
+        key = tuple(map(id, args))
+        if key not in held:
+            held[key] = (args, fn(*args))
+        return held[key][1]
+
+    return memo
+
+
+def test_criterion_09_disjunctive_property(monkeypatch):
+    # closest pairs = expert merge, exhaustively over model-set pairs. Each
+    # formula's truth table, and its distance column over the whole cube,
+    # is computed once rather than once per pair it is in; d(I, F) does
+    # not depend on the other candidates, so a merge reads its rows off it.
+    tables = _memo_by_identity(truth_table)
+    cube_column = _memo_by_identity(
+        lambda table, n: distance_matrix(DH, np.arange(1 << n), [table], n)[:, 0]
+    )
+
+    def memo_distance_matrix(kind, cand_bits, truth_tables, n):
+        assert kind == DH
+        return np.column_stack([cube_column(t, n)[cand_bits] for t in truth_tables])
+
+    monkeypatch.setattr(merge_module, "truth_table", tables)
+    for module in (merge_module, postulates_module):
+        monkeypatch.setattr(module, "distance_matrix", memo_distance_matrix)
     for n in (2, 3):
         u = Universe([f"v{i}" for i in range(n)])
         everything = models_of(TRUE, u)
@@ -274,6 +307,7 @@ def test_criterion_09_disjunctive_property():
                 if closest_pairs_merge(inst) != expert:
                     mismatches += 1
         assert mismatches == 0, f"n={n}: {mismatches} mismatches"
+    monkeypatch.undo()
 
     # expert weight k*m yields a disjunctive operator on random profiles
     rng = Xoshiro256StarStar(1009)

@@ -381,6 +381,7 @@ class TestExitCodes:
             '{"variables": ["x"], "constraints": "x", "profile": ["x"], "scheme": "warp"}',
             '{"variables":["a"],"constraints":"a","profile":["a"],"scheme":5}',
             '{"variables":["a"],"constraints":"a","profile":["a"],"scheme":"list:1/0"}',
+            '{"variables":["a"],"constraints":"a","profile":["a","a"],"scheme":"list:1,,2"}',
             '{"variables":["a"],"constraints":"a","profile":["a"],'
             '"distance":{"table":[[0,0],[1,1]],"default":2.5}}',
             '{"variables":["a"],"constraints":"a","profile":["a"],'
@@ -417,6 +418,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("beliefmerge: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scheme", ["list:1,,2", "list:2,1;"])
+    def test_empty_scheme_entry_flag_is_two(self, capsys, intro_file, scheme):
+        code, _, err = run(capsys, "merge", "--instance", intro_file, "--scheme", scheme)
+        assert code == 2
+        assert err == f"beliefmerge: empty entry in weight scheme {scheme!r}\n"
 
     def test_enumeration_guard_is_three(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

@@ -11,13 +11,13 @@ from beliefmerge import (
     random_instance,
     realize,
 )
-from beliefmerge.distance import distances_to_bits
+from beliefmerge.distance import distance_matrix
 from beliefmerge.errors import (
     DistanceTableError,
     UniverseMismatchError,
     UnsatisfiableFormulaError,
 )
-from beliefmerge.formulae import TRUE, models_bits
+from beliefmerge.formulae import TRUE, truth_table
 
 from oracles import (
     brute_formula_distance,
@@ -126,7 +126,7 @@ class TestDistanceTables:
 def _column(kind: DistanceKind, f, universe: Universe) -> np.ndarray:
     """Distance from every world of the universe to f, in bitmask order."""
     worlds = np.arange(1 << universe.n, dtype=np.int64)
-    return distances_to_bits(kind, worlds, models_bits(f, universe), universe.n)
+    return distance_matrix(kind, worlds, [truth_table(f, universe)], universe.n)[:, 0]
 
 
 class TestFormulaDistance:

@@ -1,14 +1,24 @@
+import importlib.util
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefmerge import DistanceKind, random_instance
+from beliefmerge import AllPositiveWeights, DistanceKind, lp, merge_scheme, random_instance, realize
 from beliefmerge.lp import decide, integer_witness
 
-from oracles import LinConstraint, LinSystem, feasible, grid_feasible, minimality_system
+from oracles import (
+    LinConstraint,
+    LinSystem,
+    feasible,
+    fraction_witness,
+    grid_feasible,
+    minimality_system,
+)
 
 
 def _leq(coeffs, rhs):
@@ -222,3 +232,51 @@ class TestDecide:
             _assert_certified(d, others, witness, certificate)
             selected += witness is not None
         assert 0 < selected < len(FRONT_34)
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, read as a module without touching sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWitnessReduction:
+    """lp.decide's gcd-reduced witness against the Fraction route, on
+    the (numerators, denominator) of every witness that decide builds."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        reduce = lp._witness
+
+        def checked(values, denom):
+            witness = reduce(values, denom)
+            assert witness == fraction_witness(values, denom), (values, denom)
+            seen.append((values, denom))
+            return witness
+
+        monkeypatch.setattr(lp, "_witness", checked)
+        return seen
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_equals_fraction_route_on_seeded_fronts(self, calls, m):
+        rng = random.Random(7000 + m)
+        for _ in range(30):
+            points = sorted({tuple(rng.randrange(7) for _ in range(m)) for _ in range(12)})
+            front = _front(points)
+            for d in front:
+                decide(d, [e for e in front if e != d])
+        # the reduction is not trivial: common factors and true denominators occur
+        assert any(gcd(denom, *values) > 1 for values, denom in calls)
+        assert any(denom // gcd(denom, *values) > 1 for values, denom in calls)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_fraction_route_on_benchmark_fronts(self, calls, seed):
+        inputs = _perfbench_inputs()
+        for i in range(len(inputs.LP_SLOTS) * inputs.LP_COPIES):
+            vectors, block = inputs.front_vectors(seed, i)
+            merge_scheme(realize(vectors, block), AllPositiveWeights(), DistanceKind.hamming())
+        assert calls

@@ -13,6 +13,7 @@ from beliefmerge import (
     expand_scheme,
 )
 from beliefmerge.weights import (
+    _weight,
     as_weight_vector,
     default_expert_weight,
     parse_scheme,
@@ -141,3 +142,55 @@ class TestSchemeSyntax:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_scheme("fancy")
+
+    @pytest.mark.parametrize("text", ["list:1,,2", "list:,1", "list:1,", "list:2,1;", "list:;1", "list:"])
+    def test_empty_entry_is_an_error_naming_the_scheme(self, text):
+        with pytest.raises(ValueError, match="empty entry in weight scheme") as info:
+            parse_scheme(text)
+        assert repr(text) in str(info.value)
+
+    def test_integers_parse_as_int_and_rationals_as_fraction(self):
+        (vector,) = parse_scheme("list:2, +3,1/2,4/2,1.5,1e1").vectors
+        assert vector == (2, 3, Fraction(1, 2), 2, Fraction(3, 2), 10)
+        assert [type(w) for w in vector] == [int, int, Fraction, int, Fraction, int]
+
+
+# tokens built from the pieces int and Fraction each accept or reject
+TOKEN_PIECES = [
+    "0", "1", "7", "12", "+", "-", "_", " ", "\t", "\x1c", "\u3000", ".", "e", "E",
+    "/", "1/0", "0/5", "١", "x", "0x", "inf", "nan",
+]
+
+
+def _outcome(fn, token):
+    try:
+        return "ok", fn(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestWeightTokens:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=6).map("".join))
+    def test_int_first_parser_matches_fraction(self, token):
+        assert _outcome(_weight, token) == _outcome(Fraction, token)
+
+    @pytest.mark.parametrize(
+        "token", ["1_000", " -3 ", "+4", "2.50", "1e3", "3/4", "1/0", "1__0", "", "٣/٤"]
+    )
+    def test_chosen_tokens(self, token):
+        assert _outcome(_weight, token) == _outcome(Fraction, token)
+
+
+class TestExplicitWeightsValues:
+    def test_integral_fraction_equals_int(self):
+        a, b = ExplicitWeights([[Fraction(2), 1]]), ExplicitWeights([[2, 1]])
+        assert a == b and hash(a) == hash(b)
+        assert scheme_to_text(a) == scheme_to_text(b) == "list:2,1"
+        assert [type(w) for w in a.vectors[0]] == [int, int]
+
+    def test_true_rationals_stay_fractions(self):
+        scheme = ExplicitWeights([[Fraction(1, 2), 3]])
+        assert scheme.vectors == ((Fraction(1, 2), 3),)
+        assert scheme_to_text(scheme) == "list:1/2,3"
+        assert expand_scheme(scheme, DH, 2, 2) == [(1, 6)]
