@@ -14,6 +14,10 @@ other column takes one of two exact paths, chosen from its sizes alone:
   the best table value off its world's set
 * pairwise: chunked broadcasting over |cands| x |targets|, cheaper when
   that product is small next to the cube
+
+A non-decreasing table (Hamming) is read with one lookup per candidate,
+at its nearest count, as min and a monotone map commute: the pairwise
+block's uint8 row minimum, or the sweep set's lowest bit.
 """
 
 from __future__ import annotations
@@ -29,11 +33,16 @@ _SWEEP_OVERHEAD = 2048  # measured fixed cost of one sweep pass, in element oper
 _CUBE_CELLS = 1 << 20  # per sweep batch: one column at a time from n = 20 on
 
 
-def _min_mapped_numpy(cands: np.ndarray, targets: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _min_mapped_numpy(
+    cands: np.ndarray, targets: np.ndarray, table: np.ndarray, monotone: bool
+) -> np.ndarray:
     out = np.empty(cands.shape[0], dtype=np.int64)
     for lo in range(0, cands.shape[0], _CHUNK):
-        block = cands[lo : lo + _CHUNK, None] ^ targets[None, :]
-        out[lo : lo + _CHUNK] = table[np.bitwise_count(block)].min(axis=1)
+        counts = np.bitwise_count(cands[lo : lo + _CHUNK, None] ^ targets[None, :])
+        if monotone:
+            out[lo : lo + _CHUNK] = table[counts.min(axis=1)]
+        else:
+            out[lo : lo + _CHUNK] = table[counts].min(axis=1)
     return out
 
 
@@ -55,9 +64,9 @@ def _sweep(reach: np.ndarray, n: int) -> np.ndarray:
     return reach
 
 
-def _read_sets(sets: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _read_sets(sets: np.ndarray, table: np.ndarray, monotone: bool) -> np.ndarray:
     """The smallest table[h] over the bits h of each non-zero set."""
-    if (table[1:] >= table[:-1]).all():  # the lowest bit, the nearest count, is best
+    if monotone:  # the lowest bit, the nearest count, is best
         return table[np.bitwise_count((sets & -sets) - 1)]
     values = sorted(set(table.tolist()))
     out = np.full(sets.shape, values[-1], dtype=np.int64)
@@ -79,6 +88,7 @@ def min_mapped_matrix(
     table = np.ascontiguousarray(table, dtype=np.int64)
     out = np.empty((cands.shape[0], len(tables)), dtype=np.int64)
     flat = len(set(table[1:].tolist())) <= 1
+    monotone = bool((table[1:] >= table[:-1]).all())
     sweep = []
     for j, targets in enumerate(tables):
         count = np.count_nonzero(targets)
@@ -89,10 +99,10 @@ def min_mapped_matrix(
         elif cands.shape[0] * count >= n * ((1 << n) + _SWEEP_OVERHEAD):
             sweep.append(j)
         else:
-            out[:, j] = _min_mapped_numpy(cands, np.flatnonzero(targets), table)
+            out[:, j] = _min_mapped_numpy(cands, np.flatnonzero(targets), table, monotone)
     per_batch = max(1, _CUBE_CELLS >> n)
     for lo in range(0, len(sweep), per_batch):
         cols = sweep[lo : lo + per_batch]  # seeded by the truth tables themselves
         sets = _sweep(np.array([tables[j] for j in cols], dtype=np.uint32), n)[:, cands]
-        out[:, cols] = _read_sets(sets, table).T
+        out[:, cols] = _read_sets(sets, table, monotone).T
     return out

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation (too deep a formula
-and an unwritable output file included), 3 resource guard (out of memory
-included).
+Exit codes: 0 success, 1 usage, 2 parse/validation (an unwritable output
+file included, and a formula AST too deep for a recursive ==, hash or
+repr), 3 resource guard (out of memory included).
 """
 
 from __future__ import annotations

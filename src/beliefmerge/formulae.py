@@ -6,8 +6,8 @@ exhaustive enumeration over the 2^n assignments, which is the intended
 contract at desk scale: ``truth_table`` refuses a universe of more than
 ``MAX_VARS`` variables before it allocates anything. It evaluates a
 formula without recursion over packed 64-world words, one pass over
-2^n / 64 words per AST node; the parser and ``formula_to_text`` still
-recurse once per nesting level.
+2^n / 64 words per AST node; the parser and ``formula_to_text`` use
+explicit stacks too, so no step recurses once per nesting level.
 """
 
 from __future__ import annotations
@@ -308,139 +308,115 @@ def formula_from_models(models: Iterable[Model], universe: Universe) -> Formula:
 # or      := and ("|" and)*
 # and     := unary ("&" unary)*
 # unary   := "!" unary | "(" formula ")" | "true" | "false" | ident
+#
+# The parser is one operator-precedence loop over an explicit stack; the
+# printer walks the AST with one too, so nesting depth costs no recursion.
 
-_TOKEN_RE = re.compile(r"\s*(<->|->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", at)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append(("", len(text)))  # end marker
-    return tokens
+_TOKEN = r"<->|->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S)")  # \S: one bad character
+_GOOD_RE = re.compile(_TOKEN)
+# binary token -> (node, its precedence, the lowest pending precedence it
+# reduces first): & and | associate to the left, -> and <-> to the right
+_BINARY = {"&": (And, 4, 4), "|": (Or, 3, 3), "->": (Implies, 2, 3), "<->": (Iff, 1, 2)}
+_PREFIX = {"(": (0, None), "!": (5, Not)}  # pending precedence and node
 
 
-class _Parser:
-    def __init__(self, text: str, universe: Universe):
-        self.tokens = _tokenize(text)
-        self.universe = universe
-        self.i = 0
+def _reduce(pending: list, operands: list, floor: int) -> None:
+    """Apply the pending operators of precedence floor or more."""
+    while pending[-1][0] >= floor:
+        node = pending.pop()[1]
+        if node is Not:
+            operands[-1] = Not(operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = node(operands[-1], right)
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
 
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
-
-    def advance(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.iff()
-        if self.peek() != "":
-            raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.pos())
-        return f
-
-    def iff(self) -> Formula:
-        items = [self.imp()]
-        while self.peek() == "<->":
-            self.advance()
-            items.append(self.imp())
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = Iff(item, out)
-        return out
-
-    def imp(self) -> Formula:
-        items = [self.disj()]
-        while self.peek() == "->":
-            self.advance()
-            items.append(self.disj())
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = Implies(item, out)
-        return out
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
-            self.advance()
-            return Not(self.unary())
-        if tok == "(":
-            self.advance()
-            f = self.iff()
-            if self.peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.pos())
-            self.advance()
-            return f
-        if tok == "true":
-            self.advance()
-            return TRUE
-        if tok == "false":
-            self.advance()
-            return FALSE
-        if _NAME_RE.match(tok):
-            self.universe.index(tok)  # closed universe: unknown names are an error
-            self.advance()
-            return Var(tok)
-        if tok == "":
-            raise FormulaSyntaxError("unexpected end of input", self.pos())
-        raise FormulaSyntaxError(f"unexpected token {tok!r}", self.pos())
+def _error(text: str, tokens: list[str], k: int, message: str | None) -> Exception:
+    """The error of the input's first fault: a bad character anywhere,
+    else message at token k (an unknown variable when None)."""
+    bad = [b for b, tok in enumerate(tokens) if not _GOOD_RE.fullmatch(tok)]
+    if bad:
+        k, message = bad[0], f"unexpected character {tokens[bad[0]]!r}"
+    elif message is None:
+        return UnknownVariableError(tokens[k])
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    return FormulaSyntaxError(message, starts[k])
 
 
 def parse_formula(text: str, universe: Universe) -> Formula:
-    return _Parser(text, universe).parse()
+    tokens = _TOKEN_RE.findall(text)
+    leaves: dict[str, Formula] = {"true": TRUE, "false": FALSE}  # one Var per name
+    operands: list[Formula] = []
+    pending = [_PREFIX["("]]  # the whole input is one group
+    depth = 0
+    operand = True  # an operand comes next, else an operator or the end
+    for k, tok in enumerate(tokens):
+        if operand:
+            if tok in _PREFIX:
+                pending.append(_PREFIX[tok])
+                depth += tok == "("
+                continue
+            f = leaves.get(tok)
+            if f is None:
+                if not _NAME_RE.match(tok):
+                    raise _error(text, tokens, k, f"unexpected token {tok!r}")
+                if tok not in universe._index:  # closed universe
+                    raise _error(text, tokens, k, None)
+                f = leaves[tok] = Var(tok)
+            operands.append(f)
+            operand = False
+        elif tok in _BINARY:
+            node, prec, floor = _BINARY[tok]
+            _reduce(pending, operands, floor)
+            pending.append((prec, node))
+            operand = True
+        elif tok == ")" and depth:
+            _reduce(pending, operands, 1)
+            pending.pop()
+            depth -= 1
+        else:
+            raise _error(text, tokens, k, "expected ')'" if depth else f"unexpected token {tok!r}")
+    if operand or depth:
+        at_end = "unexpected end of input" if operand else "expected ')'"
+        raise _error(text, tokens, len(tokens), at_end)
+    _reduce(pending, operands, 1)
+    return operands[0]
 
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
+# node -> (separator, its precedence, the left and the right operand's)
+_PRINT = {
+    Iff: (" <-> ", 1, 2, 1),
+    Implies: (" -> ", 2, 3, 2),
+    Or: (" | ", 3, 3, 4),
+    And: (" & ", 4, 4, 5),
+}
 
 
 def formula_to_text(f: Formula) -> str:
     """Concrete syntax that parses back to the same AST."""
-
-    def rec(g: Formula, min_prec: int) -> str:
-        match g:
-            case Const(value):
-                return "true" if value else "false"
-            case Var(name):
-                return name
-            case Not(h):
-                return "!" + rec(h, 5)
-            case Iff(a, b):
-                s = f"{rec(a, 2)} <-> {rec(b, 1)}"
-            case Implies(a, b):
-                s = f"{rec(a, 3)} -> {rec(b, 2)}"
-            case Or(a, b):
-                s = f"{rec(a, 3)} | {rec(b, 4)}"
-            case And(a, b):
-                s = f"{rec(a, 4)} & {rec(b, 5)}"
-            case _:
-                raise TypeError(f"not a formula node: {g!r}")
-        return f"({s})" if _PREC[type(g)] < min_prec else s
-
-    return rec(f, 0)
+    out = []
+    todo: list = [(f, 0)]  # (node, the least precedence printed bare) or a text piece
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, min_prec = item
+        kind = type(g)
+        if kind is Var:
+            out.append(g.name)
+        elif kind is Not:
+            out.append("!")
+            todo.append((g.operand, 5))
+        elif kind is Const:
+            out.append("true" if g.value else "false")
+        elif kind in _PRINT:
+            sep, prec, left, right = _PRINT[kind]
+            if prec < min_prec:
+                out.append("(")
+                todo.append(")")
+            todo += ((g.right, right), sep, (g.left, left))
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+    return "".join(out)

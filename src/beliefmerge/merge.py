@@ -220,6 +220,9 @@ def _argmin_merge(matrix: np.ndarray, vectors):
     return rows, vectors, hit[rows].argmax(axis=1)
 
 
+_NEAREST_CELLS = 4096  # L1 distances sorted at once: block rows x front rows
+
+
 def _lp_merge(matrix: np.ndarray):
     """All-positive scheme over the Pareto front, by row generation;
     returns (rows, weights, witness_index) as _argmin_merge does.
@@ -229,9 +232,10 @@ def _lp_merge(matrix: np.ndarray):
     set of other front rows, seeded with the m nearest to d in L1. A
     zero optimum is a certificate over the whole front. A witness is
     checked against every front row; while some row scores below d, the
-    m most violated join the active set and the LP runs again. A
-    witness that passes selects every undecided front row tying d's
-    score, so those rows are never asked.
+    m most violated join the active set and the LP runs again. A witness
+    that passes selects every undecided front row tying d's score, so
+    those rows are never asked. The L1 order is sorted for a block of
+    the next undecided rows at once, _NEAREST_CELLS // |front| of them.
     """
     rows, _, inverse, front = distinct_front(matrix)
     on_front = np.flatnonzero(front)
@@ -240,13 +244,17 @@ def _lp_merge(matrix: np.ndarray):
     weights = []
     slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
     undecided = np.ones(len(front_rows), dtype=bool)
+    nearest = {}  # row of the current block -> all front rows, nearest to it in L1 first
     for i, d in enumerate(front_rows.tolist()):
         if not undecided[i]:
             continue
+        if i not in nearest:  # i is past the last block: order the next one
+            block = np.flatnonzero(undecided)[: max(1, _NEAREST_CELLS // len(front_rows))]
+            l1 = np.abs(front_rows[block, None, :] - front_rows[None, :, :]).sum(axis=2)
+            nearest = dict(zip(block.tolist(), np.argsort(l1, axis=1, kind="stable")))
         undecided[i] = False
-        l1 = np.abs(front_rows - front_rows[i]).sum(axis=1)
-        nearest = np.argsort(l1, kind="stable")
-        active = np.sort(nearest[nearest != i][:m])
+        order = nearest[i]
+        active = np.sort(order[order != i][:m])
         while True:
             w = lp.decide(d, front_rows[active].tolist())[0]
             if w is None:

@@ -19,10 +19,14 @@ is the differential oracle for maxcons and its disjunction.
 bitmasks, read out with one masked pass per table value) is the
 reference for the batched, truth-table-seeded distance kernel, and
 ``fraction_witness`` (the point as Fractions, denominators cleared) the
-reference for lp.decide's gcd-reduced witness.
+reference for lp.decide's gcd-reduced witness. ``recursive_parse`` (a
+tokenizer plus recursive descent) and ``recursive_formula_to_text`` (one
+call per AST node) are the references for the stack-based parser and
+printer.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -32,7 +36,19 @@ from typing import Sequence
 import numpy as np
 
 from beliefmerge import DistanceKind, Model, Universe, lp, models_of
-from beliefmerge.formulae import TRUE, And, Const, Formula, Iff, Implies, Not, Or, Var
+from beliefmerge.errors import FormulaSyntaxError
+from beliefmerge.formulae import (
+    FALSE,
+    TRUE,
+    And,
+    Const,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+)
 from beliefmerge.merge import distinct_front
 from beliefmerge.weights import scheme_to_text
 
@@ -408,3 +424,151 @@ def fraction_witness(values: Sequence[int], denom: int) -> tuple[int, ...]:
     point = [Fraction(v, denom) for v in values]
     scale = lcm(*(x.denominator for x in point))
     return tuple(int(x * scale) for x in point)
+
+
+# --- the recursive concrete syntax -------------------------------------------
+#
+# formula := iff
+# iff     := imp ("<->" imp)*        right-associative
+# imp     := or ("->" or)*           right-associative
+# or      := and ("|" and)*
+# and     := unary ("&" unary)*
+# unary   := "!" unary | "(" formula ")" | "true" | "false" | ident
+
+_TOKEN_RE = re.compile(r"\s*(<->|->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            at = len(text) - len(rest)
+            raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", at)
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    tokens.append(("", len(text)))  # end marker
+    return tokens
+
+
+class _RecursiveParser:
+    def __init__(self, text: str, universe: Universe):
+        self.tokens = _tokenize(text)
+        self.universe = universe
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
+
+    def pos(self) -> int:
+        return self.tokens[self.i][1]
+
+    def advance(self) -> str:
+        tok = self.tokens[self.i][0]
+        self.i += 1
+        return tok
+
+    def parse(self) -> Formula:
+        f = self.iff()
+        if self.peek() != "":
+            raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.pos())
+        return f
+
+    def iff(self) -> Formula:
+        items = [self.imp()]
+        while self.peek() == "<->":
+            self.advance()
+            items.append(self.imp())
+        out = items[-1]
+        for item in reversed(items[:-1]):
+            out = Iff(item, out)
+        return out
+
+    def imp(self) -> Formula:
+        items = [self.disj()]
+        while self.peek() == "->":
+            self.advance()
+            items.append(self.disj())
+        out = items[-1]
+        for item in reversed(items[:-1]):
+            out = Implies(item, out)
+        return out
+
+    def disj(self) -> Formula:
+        f = self.conj()
+        while self.peek() == "|":
+            self.advance()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self) -> Formula:
+        f = self.unary()
+        while self.peek() == "&":
+            self.advance()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok == "!":
+            self.advance()
+            return Not(self.unary())
+        if tok == "(":
+            self.advance()
+            f = self.iff()
+            if self.peek() != ")":
+                raise FormulaSyntaxError("expected ')'", self.pos())
+            self.advance()
+            return f
+        if tok == "true":
+            self.advance()
+            return TRUE
+        if tok == "false":
+            self.advance()
+            return FALSE
+        if _NAME_RE.match(tok):
+            self.universe.index(tok)  # closed universe: unknown names are an error
+            self.advance()
+            return Var(tok)
+        if tok == "":
+            raise FormulaSyntaxError("unexpected end of input", self.pos())
+        raise FormulaSyntaxError(f"unexpected token {tok!r}", self.pos())
+
+
+def recursive_parse(text: str, universe: Universe) -> Formula:
+    """The formula of text by recursive descent over a token list."""
+    return _RecursiveParser(text, universe).parse()
+
+
+_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
+
+
+def recursive_formula_to_text(f: Formula) -> str:
+    """Concrete syntax of f, one recursive call per AST node."""
+
+    def rec(g: Formula, min_prec: int) -> str:
+        match g:
+            case Const(value):
+                return "true" if value else "false"
+            case Var(name):
+                return name
+            case Not(h):
+                return "!" + rec(h, 5)
+            case Iff(a, b):
+                s = f"{rec(a, 2)} <-> {rec(b, 1)}"
+            case Implies(a, b):
+                s = f"{rec(a, 3)} -> {rec(b, 2)}"
+            case Or(a, b):
+                s = f"{rec(a, 3)} | {rec(b, 4)}"
+            case And(a, b):
+                s = f"{rec(a, 4)} & {rec(b, 5)}"
+            case _:
+                raise TypeError(f"not a formula node: {g!r}")
+        return f"({s})" if _PREC[type(g)] < min_prec else s
+
+    return rec(f, 0)

@@ -15,8 +15,9 @@ from beliefmerge import (
     merge_scheme,
     random_instance,
 )
+from beliefmerge import cli
 from beliefmerge.cli import POSTULATES, _merge_json, main
-from beliefmerge.formulae import Universe, model_from_literals
+from beliefmerge.formulae import Universe, model_from_literals, parse_formula
 
 from oracles import merge_json
 
@@ -464,19 +465,37 @@ class TestExitCodes:
         ]
 
     @pytest.mark.parametrize(
-        "constraints", ["(" * 5000 + "v0" + ")" * 5000, "!" * 5000 + "v0"]
+        "constraints",
+        ["(" * 5000 + "v0" + ")" * 5000, "!" * 5000 + "v0"],
+        ids=["parens", "negations"],
     )
-    def test_deep_nesting_is_two_without_traceback(self, capsys, tmp_path, constraints):
-        path = tmp_path / "deep.json"
-        path.write_text(
-            json.dumps(
-                {"variables": ["v0", "v1"], "constraints": constraints, "profile": ["v0"]}
+    def test_deep_nesting_merges_as_its_shallow_equivalent(self, capsys, tmp_path, constraints):
+        """The parser holds groups and negations on an explicit stack, so
+        depth is no error: both inputs mean v0 (5000 negations are even)."""
+        outputs = []
+        for text in (constraints, "v0"):
+            path = tmp_path / "deep.json"
+            path.write_text(
+                json.dumps({"variables": ["v0", "v1"], "constraints": text, "profile": ["v0"]})
             )
-        )
-        code, _, err = run(capsys, "merge", "--instance", str(path), "--json")
-        assert code == 2
-        assert err.startswith("beliefmerge: ")
-        assert "Traceback" not in err
+            code, out, err = run(capsys, "merge", "--instance", str(path), "--json")
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_deep_ast_comparison_is_two_without_traceback(self, capsys, monkeypatch):
+        """Dataclass ==, hash and repr of a formula AST still recurse once
+        per level: a command that overflows there exits 2 with one line."""
+        universe = Universe(["v0"])
+        deep = "!" * 5000 + "v0"
+
+        def load(path):
+            return parse_formula(deep, universe) == parse_formula(deep, universe)
+
+        monkeypatch.setattr(cli, "load_instance_file", load)
+        code, out, err = run(capsys, "merge", "--instance", "unused.json")
+        assert (code, out) == (2, "")
+        assert err == "beliefmerge: formula nested too deeply to process\n"
 
 
 def test_numpy_ma_is_never_imported(tmp_path):

@@ -26,7 +26,12 @@ from beliefmerge.formulae import (
     truth_table,
 )
 
-from oracles import evaluate, recursive_truth_table
+from oracles import (
+    evaluate,
+    recursive_formula_to_text,
+    recursive_parse,
+    recursive_truth_table,
+)
 
 XY = Universe(["x", "y"])
 
@@ -142,6 +147,96 @@ class TestPrinterRoundTrip:
         u = Universe(["x", "y", "z"])
         g = parse_formula(formula_to_text(f), u)
         assert np.array_equal(truth_table(f, u), truth_table(g, u))
+
+
+def _outcome(parse, text, universe):
+    """The formula parse reads from text, or its error's type, message
+    and position."""
+    try:
+        return parse(text, universe)
+    except (FormulaSyntaxError, UnknownVariableError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# fragments of malformed input: stray operators, bad characters, an
+# unknown name, unbalanced groups and a half arrow
+_FRAGMENTS = ["x", "y", "z", "w", "true", "false", "!", "&", "|", "->", "<->",
+              "<-", "-", ">", "(", ")", "!(", "#", "1", "é", " ", "\t", "x1"]
+
+
+def _same_tree(f, g) -> bool:
+    """f == g node by node, without recursing once per level."""
+    todo = [(f, g)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (Var, Const)):
+            if a != b:
+                return False
+        elif isinstance(a, Not):
+            todo.append((a.operand, b.operand))
+        else:
+            todo += [(a.left, b.left), (a.right, b.right)]
+    return True
+
+
+class TestAgainstRecursiveParser:
+    U = Universe(["x", "y", "z"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_formulas(Universe(["x", "y", "z"])))
+    def test_same_ast_and_text_on_printed_formulas(self, f):
+        text = formula_to_text(f)
+        assert text == recursive_formula_to_text(f)
+        assert parse_formula(text, self.U) == recursive_parse(text, self.U) == f
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+    def test_same_result_or_error_on_any_input(self, text):
+        want = _outcome(recursive_parse, text, self.U)
+        assert _outcome(parse_formula, text, self.U) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x <- y", "(x", "x )", "& x", "", "   ", "x # y", "#", "x & w", "!(",
+         "!(x", "w & #", "(x y", "x & )", ")", "x -> ", "((x) | y", "true false"],
+    )
+    def test_malformed_inputs(self, text):
+        want = _outcome(recursive_parse, text, self.U)
+        assert isinstance(want, tuple)
+        assert _outcome(parse_formula, text, self.U) == want
+
+    def test_literals_are_shared_within_a_parse(self):
+        f = parse_formula("x & y | x", self.U)
+        assert f.left.left is f.right
+
+
+class TestDeepFormulas:
+    """Parser and printer hold explicit stacks: depth costs no recursion."""
+
+    DEPTH = 5000
+
+    def _deep(self):
+        x, y = Var("x"), Var("y")
+        negations, right_and, right_imp, left_iff = x, x, x, x
+        for _ in range(self.DEPTH):
+            negations = Not(negations)
+            right_and = And(y, right_and)
+            right_imp = Implies(y, right_imp)
+            left_iff = Iff(left_iff, Not(y))
+        return [negations, right_and, right_imp, left_iff]
+
+    def test_parse_of_print_is_identity(self):
+        for f in self._deep():
+            assert _same_tree(parse_formula(formula_to_text(f), XY), f)
+
+    def test_deep_groups_and_chains_parse(self):
+        d = self.DEPTH
+        assert parse_formula("(" * d + "x" + ")" * d, XY) == Var("x")
+        chain = parse_formula("!" * d + "x", XY)
+        assert formula_to_text(chain) == "!" * d + "x"
+        assert np.array_equal(truth_table(chain, XY), truth_table(Var("x"), XY))
 
 
 class TestModelsOf:

@@ -15,17 +15,20 @@ def _random_case(seed, n_cands, n_targets, bits=24):
 
 
 def _tables(bits=24):
-    """identity, non-monotone, plateaued non-decreasing, and drastic
-    plainly and scaled: the last two are flat above 0 and never reach
-    the pairwise or sweep paths."""
+    """identity, non-monotone (bumpy and a zigzag as perfbench's table
+    distance), plateaued non-decreasing, and drastic plainly and scaled:
+    the last two are flat above 0 and never reach the pairwise or sweep
+    paths."""
     identity = np.arange(bits + 1, dtype=np.int64)
     bumpy = np.array([0] + [((h * 7) % 5) + 1 for h in range(1, bits + 1)], dtype=np.int64)
     plateau = np.array([0] + [1 + 2 * (h // 3) for h in range(1, bits + 1)], dtype=np.int64)
+    zigzag = np.array(([0, 2, 1, 3, 2] + [4] * bits)[: bits + 1], dtype=np.int64)
     drastic = (identity > 0).astype(np.int64)
-    return identity, bumpy, plateau, drastic, 7 * drastic
+    return identity, bumpy, plateau, zigzag, drastic, 7 * drastic
 
 
-SEARCHED = 3  # tables of _tables that take the pairwise or sweep path
+SEARCHED = 4  # tables of _tables that take the pairwise or sweep path
+MONOTONE = (True, False, True, False, True, True)  # per table of _tables
 
 
 def _reference(cands, targets, table):
@@ -55,16 +58,23 @@ def _truth_table(targets, n):
 class TestNumpyKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_bit_count_reference(self, seed):
+        """count-min for the non-decreasing tables, the per-pair gather
+        for every table: both readouts are exact where they run."""
         cands, targets = _random_case(seed, 100, 37)
-        for table in _tables():
-            got = _kernels._min_mapped_numpy(cands, targets, table)
-            assert np.array_equal(got, _reference(cands, targets, table))
+        for table, monotone in zip(_tables(), MONOTONE):
+            want = _reference(cands, targets, table)
+            got = _kernels._min_mapped_numpy(cands, targets, table, monotone)
+            assert np.array_equal(got, want)
+            gathered = _kernels._min_mapped_numpy(cands, targets, table, False)
+            assert np.array_equal(gathered, want)
 
     def test_chunked_path(self):
-        cands, targets = _random_case(7, _kernels._CHUNK * 2 + 5, 8)
-        table = _tables()[0]
-        got = _kernels._min_mapped_numpy(cands, targets, table)
-        assert np.array_equal(got, _reference(cands, targets, table))
+        """Both readouts on each side of a chunk boundary and past two."""
+        for size in (_kernels._CHUNK - 1, _kernels._CHUNK + 1, _kernels._CHUNK * 2 + 5):
+            cands, targets = _random_case(7, size, 8)
+            for table, monotone in list(zip(_tables(), MONOTONE))[:SEARCHED]:
+                got = _kernels._min_mapped_numpy(cands, targets, table, monotone)
+                assert np.array_equal(got, _reference(cands, targets, table))
 
 
 def _cube_case(seed, n, n_cands, n_targets):
@@ -172,6 +182,47 @@ class TestMatrixKernel:
             assert np.array_equal(got, expected)
             assert np.array_equal(got, _brute_matrix(cands, truth_tables, table))
         assert calls == ["_sweep"] * 3 * SEARCHED
+
+
+class TestPairwiseReadouts:
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_one_monotone_flag_per_matrix(self, extra, monkeypatch):
+        """Every column pairwise, across the chunk boundary: the matrix
+        tests monotonicity once and hands the same flag to each column."""
+        n = 8
+        monkeypatch.setattr(_kernels, "_SWEEP_OVERHEAD", 1 << 40)
+        rng = np.random.default_rng(extra + 2)
+        cands = rng.integers(0, 1 << n, _kernels._CHUNK + extra).astype(np.int64)
+        truth_tables = [_truth_table(rng.choice(1 << n, c, replace=False), n) for c in (1, 5, 40)]
+        flags = []
+        pairwise = _kernels._min_mapped_numpy
+
+        def spy(*args):
+            flags.append(args[3])
+            return pairwise(*args)
+
+        monkeypatch.setattr(_kernels, "_min_mapped_numpy", spy)
+        for table in _tables(n)[:SEARCHED]:
+            got = _kernels.min_mapped_matrix(cands, truth_tables, table, n)
+            assert np.array_equal(got, _brute_matrix(cands, truth_tables, table))
+        assert flags == [m for m in MONOTONE[:SEARCHED] for _ in truth_tables]
+
+    def test_sweep_gets_the_same_flag(self, monkeypatch):
+        n = 7
+        monkeypatch.setattr(_kernels, "_SWEEP_OVERHEAD", -(1 << n))
+        cands, targets = _cube_case(4, n, 300, 20)
+        flags = []
+        read_sets = _kernels._read_sets
+
+        def spy(*args):
+            flags.append(args[2])
+            return read_sets(*args)
+
+        monkeypatch.setattr(_kernels, "_read_sets", spy)
+        for table in _tables(n)[:SEARCHED]:
+            got = _kernels.min_mapped_matrix(cands, [_truth_table(targets, n)], table, n)
+            assert np.array_equal(got[:, 0], _reference(cands, targets, table))
+        assert flags == list(MONOTONE[:SEARCHED])
 
 
 class TestDispatch:

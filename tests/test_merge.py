@@ -33,6 +33,7 @@ from beliefmerge.errors import (
 from beliefmerge.formulae import TRUE
 from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
+from beliefmerge import merge as merge_module
 from beliefmerge.merge import _lp_merge, _scores, distinct_front
 from beliefmerge.weights import expand_scheme, parse_scheme
 
@@ -355,6 +356,40 @@ class TestRowGeneration:
         # every other row is in the seed, so each LP is the full-row one
         matrix = np.array([[3, 0], [1, 1], [0, 3], [2, 2]], dtype=np.int64)
         self._check(matrix)
+
+    @pytest.mark.parametrize("cells", [1, 40, merge_module._NEAREST_CELLS])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[3, 0, 1], [1, 1, 1], [0, 3, 0], [2, 2, 0]], dtype=np.int64),
+            _antichain(Xoshiro256StarStar(4), 3, 4, 6, 15),
+            _antichain(Xoshiro256StarStar(5), 4, 3, 6, 20),
+        ],
+        ids=["m_plus_one_rows", "m3", "m4"],
+    )
+    def test_first_question_seeds_the_m_nearest_rows(self, matrix, cells, monkeypatch):
+        """Each front row's first LP holds the m front rows nearest to it
+        in L1 (ties in front order), listed in front order: every other
+        row on a front of at most m + 1 rows."""
+        monkeypatch.setattr(merge_module, "_NEAREST_CELLS", cells)
+        asked = {}
+        decide = merge_module.lp.decide
+
+        def spy(d, others):
+            asked.setdefault(tuple(d), others)
+            return decide(d, others)
+
+        monkeypatch.setattr(merge_module.lp, "decide", spy)
+        _lp_merge(matrix)
+        rows, _, _, front = distinct_front(matrix)
+        front_rows = [tuple(r) for r in rows[front].tolist()]
+        m = matrix.shape[1]
+        for d, others in asked.items():
+            i = front_rows.index(d)
+            l1 = [sum(abs(a - b) for a, b in zip(d, e)) for e in front_rows]
+            nearest = [j for j in sorted(range(len(front_rows)), key=l1.__getitem__) if j != i]
+            assert others == [list(front_rows[j]) for j in sorted(nearest[:m])]
+        assert len(asked) > 1
 
     def test_scores_past_two_to_the_63_are_exact(self):
         matrix = np.array([[2**62, 1], [1, 2**62]], dtype=np.int64)

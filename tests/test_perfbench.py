@@ -28,7 +28,7 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["kernel_wide", "argmin_many"])
+@pytest.mark.parametrize("workload", ["kernel_wide", "argmin_many", "lp_front", "suite_small"])
 def test_zero_second_run_checks_correct(workload):
     proc = _run("perfbench/run.py", "--workload", workload, "--seed", "5", "--seconds", "0")
     assert proc.returncode == 0, proc.stderr
