@@ -10,7 +10,9 @@ other column takes one of two exact paths, chosen from its sizes alone:
 
 * the hypercube sweep: for every world x of the n-bit cube, the set of
   Hamming counts at which some target lies, in O(n * 2^n) word
-  operations, for all sweep columns at once; each candidate then reads
+  operations, for all sweep columns at once; the high half of the bits
+  is swept in world order and the low half on a transposed copy, so
+  every pass runs along long contiguous rows; each candidate then reads
   the best table value off its world's set
 * pairwise: chunked broadcasting over |cands| x |targets|, cheaper when
   that product is small next to the cube
@@ -18,6 +20,9 @@ other column takes one of two exact paths, chosen from its sizes alone:
 A non-decreasing table (Hamming) is read with one lookup per candidate,
 at its nearest count, as min and a monotone map commute: the pairwise
 block's uint8 row minimum, or the sweep set's lowest bit.
+
+The matrix is column-major: the kernel fills it a column at a time, and
+every later column reduction reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -47,13 +52,20 @@ def _min_mapped_numpy(
 
 
 def _sweep(reach: np.ndarray, n: int) -> np.ndarray:
-    """In place over (k, 2^n) uint32 rows seeded 1 at their targets: bit h
-    of reach[j, x] ends up set iff some target of row j lies at Hamming
-    distance h from x. Counts 0..n fit uint32 for any n this can enumerate."""
-    k = reach.shape[0]
+    """Of (k, 2^n) uint32 rows seeded 1 at their targets (overwritten),
+    the (k, 2^n) sets whose entry [j, x] has bit h set iff some target
+    of row j lies at Hamming distance h from x; counts 0..n fit uint32.
+
+    Bits n//2..n-1 are swept in world order, then bits 0..n//2-1 on one
+    transposed copy with them on top (the passes commute), so no pass
+    runs along fewer than 2^min(n//2, n - n//2) contiguous cells; a
+    second transposed copy returns the rows to world order."""
+    k, h = reach.shape[0], n // 2
     size = k << max(n - 1, 0)
     from_low, from_high = np.empty(size, reach.dtype), np.empty(size, reach.dtype)
-    for b in range(n):
+    for step, b in enumerate([*range(h, n), *range(n - h, n)]):
+        if step == n - h:  # world x now sits at (x mod 2^h) * 2^(n-h) + x // 2^h
+            reach = reach.reshape(k, 1 << (n - h), 1 << h).transpose(0, 2, 1).reshape(k, -1)
         # R[x] |= R[x ^ 2^b] << 1, with x on both sides of bit b
         pairs = reach.reshape(k, -1, 2, 1 << b)
         low, high = pairs[:, :, 0, :], pairs[:, :, 1, :]
@@ -61,7 +73,7 @@ def _sweep(reach: np.ndarray, n: int) -> np.ndarray:
         np.left_shift(high, 1, out=from_high.reshape(high.shape))
         low |= from_high.reshape(low.shape)
         high |= from_low.reshape(high.shape)
-    return reach
+    return reach.reshape(k, 1 << h, 1 << (n - h)).transpose(0, 2, 1).reshape(k, -1)
 
 
 def _read_sets(sets: np.ndarray, table: np.ndarray, monotone: bool) -> np.ndarray:
@@ -80,13 +92,13 @@ def _read_sets(sets: np.ndarray, table: np.ndarray, monotone: bool) -> np.ndarra
 def min_mapped_matrix(
     cands: np.ndarray, tables: Sequence[np.ndarray], table: np.ndarray, n: int
 ) -> np.ndarray:
-    """(len(cands), len(tables)) int64 matrix of the minimum of
+    """(len(cands), len(tables)) column-major int64 matrix of the minimum of
     table[popcount(c ^ t)] over the worlds t where tables[j] holds, per
     candidate c and column j. Bitmasks lie below 2^n, truth tables have
     2^n entries, table covers the counts 0..n; an all-false one raises."""
     cands = np.ascontiguousarray(cands, dtype=np.int64)
     table = np.ascontiguousarray(table, dtype=np.int64)
-    out = np.empty((cands.shape[0], len(tables)), dtype=np.int64)
+    out = np.empty((cands.shape[0], len(tables)), dtype=np.int64, order="F")
     flat = len(set(table[1:].tolist())) <= 1
     monotone = bool((table[1:] >= table[:-1]).all())
     sweep = []

@@ -17,10 +17,12 @@ added until none is left, and every undecided row that ties under a
 found witness selected with it. An excluded model's certificate comes
 from lp.decide too: at most m other models whose convex combination of
 vectors beats it; a selected model's witness is read off the
-all-positive merge. Rows are deduplicated with one stable lexsort. A
-MergeResult holds the selected bitmasks as a sorted int64 array with an
-index into its witness vectors per row; its Model views are built on
-first use.
+all-positive merge. Rows are deduplicated on mixed-radix packed keys,
+by counting when the keys span little more than the rows and by a
+stable lexsort otherwise. Scores are (vectors x rows), so every
+reduction runs along the long axis of a tall matrix. A MergeResult
+holds the selected bitmasks as a sorted int64 array with an index into
+its witness vectors per row; its Model views are built on first use.
 """
 
 from __future__ import annotations
@@ -157,6 +159,9 @@ class MergeResult:
     __hash__ = None
 
 
+_COUNTING_SLACK = 64  # a key span up to 4 * rows + this groups by counting, not sorting
+
+
 def distinct_front(
     matrix: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -169,23 +174,47 @@ def distinct_front(
     first live row is always on the front; it then drops every row it
     dominates. Memory stays O(k * m) for k rows of length m.
 
-    One stable lexsort (first column most significant) orders the rows;
-    a row starts a new distinct row where it differs from its
-    predecessor, and stability makes that row the first occurrence.
+    The rows are packed into mixed-radix int64 words, first column most
+    significant, each digit a column minus its minimum; a column whose
+    range reaches 2^63 is a raw word of its own. Word order is row order.
+    One word of small span is grouped by counting: a slot table over the
+    keys present gives the inverse, and a minimum scatter the first
+    occurrences. Otherwise a stable lexsort orders the words, and a row
+    starts a new distinct row where some word differs from its
+    predecessor's, so that row is the first occurrence.
     """
-    order = np.lexsort(matrix.T[::-1])
-    ordered = matrix[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    rows, first = ordered[new], order[new]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    words, span = [], 2**63  # no word open: the first column starts one
+    for column in matrix.T:  # one column at a time: fast in either memory order
+        low, high = int(column.min()), int(column.max())
+        radix = high - low + 1
+        if span * radix < 2**63:
+            words[-1] = words[-1] * radix + (column - low)
+            span *= radix
+        else:  # a new word, the raw column where its digits would not fit
+            words.append(column - low if radix <= 2**63 else column)
+            span = min(radix, 2**63)
+    if len(words) == 1 and span <= 4 * len(matrix) + _COUNTING_SLACK:
+        present = np.zeros(span, dtype=bool)
+        present[words[0]] = True
+        inverse = (np.cumsum(present) - 1)[words[0]]
+        first = np.full(np.count_nonzero(present), len(matrix), dtype=np.intp)
+        np.minimum.at(first, inverse, np.arange(len(matrix)))
+    else:
+        order = np.lexsort(words[::-1])
+        ordered = [word[order] for word in words]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.logical_or.reduce([w[1:] != w[:-1] for w in ordered])
+        first = order[new]
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+    rows = matrix[first]
     front = np.zeros(len(rows), dtype=bool)
     live = np.ones(len(rows), dtype=bool)
-    while live.any():
-        i = int(live.argmax())
+    i = 0
+    while live[i]:  # argmax falls back to 0, the first row, once none is live
         front[i] = True
-        live &= ~(rows[i] <= rows).all(axis=1)
+        live &= (rows[i] > rows).any(axis=1)
+        i = int(live.argmax())
     return rows, first, inverse, front
 
 
@@ -203,11 +232,12 @@ def minimal_for_some_positive(
 
 
 def _scores(matrix: np.ndarray, vectors) -> np.ndarray:
-    """Exact matrix @ vectors.T for non-negative entries and weights:
-    int64 while no score can reach 2^63, Python ints (object) above."""
+    """Exact vectors @ matrix.T for non-negative entries and weights, one
+    row per vector: int64 while no score can reach 2^63, Python ints
+    (object) above."""
     bound = max(int(matrix.max()), 1) * max(map(sum, vectors))
     dtype = np.int64 if bound < 2**63 else object
-    return matrix.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
+    return np.array(vectors, dtype=dtype) @ matrix.astype(dtype, copy=False).T
 
 
 def _argmin_merge(matrix: np.ndarray, vectors):
@@ -215,9 +245,9 @@ def _argmin_merge(matrix: np.ndarray, vectors):
     the first vector that selects it: (rows, vectors, witness_index),
     row rows[j] with witness vectors[witness_index[j]]."""
     scores = _scores(matrix, vectors)
-    hit = scores == scores.min(axis=0)
-    rows = np.flatnonzero(hit.any(axis=1))
-    return rows, vectors, hit[rows].argmax(axis=1)
+    hit = scores == scores.min(axis=1, keepdims=True)
+    rows = np.flatnonzero(hit.any(axis=0))
+    return rows, vectors, hit[:, rows].argmax(axis=0)
 
 
 _NEAREST_CELLS = 4096  # L1 distances sorted at once: block rows x front rows
@@ -259,7 +289,7 @@ def _lp_merge(matrix: np.ndarray):
             w = lp.decide(d, front_rows[active].tolist())[0]
             if w is None:
                 break
-            scores = _scores(front_rows, [w])[:, 0]
+            scores = _scores(front_rows, [w])[0]
             violated = np.flatnonzero(scores < scores[i])
             if len(violated) == 0:
                 break

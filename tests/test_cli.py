@@ -64,6 +64,22 @@ def test_json_golden(capsys, intro_file):
         assert out == (GOLDEN / name).read_text(encoding="utf-8"), scheme
 
 
+@pytest.mark.parametrize("name", ["hamming13", "zigzag12"])
+def test_wide_json_golden(capsys, name):
+    """merge --json, witnesses included, on two kernel_wide-shaped
+    instances: 2048-6144 mu models against 3 entries, so the matrix comes
+    from the hypercube sweep (an odd and an even split of the bits) and
+    the all scheme dedupes thousands of rows."""
+    wide = GOLDEN.parent / "golden_wide"
+    for scheme in ("all", "expert"):
+        code, out, _ = run(
+            capsys, "merge", "--instance", str(wide / f"{name}.instance.json"),
+            "--scheme", scheme, "--json",
+        )
+        assert code == 0
+        assert out == (wide / f"{name}-{scheme}.json").read_text(encoding="utf-8"), scheme
+
+
 def test_text_golden(capsys, intro_file):
     """Plain merge output on the README's running example, pinned byte
     for byte: witness lines under the all scheme, bare models otherwise."""

@@ -115,6 +115,36 @@ class TestSweepKernel:
             assert np.array_equal(got, np.zeros(50, dtype=np.int64))
 
 
+def _brute_sets(cands, seeds):
+    """Per seed row and candidate c, the OR of 1 << popcount(c ^ t) over
+    the row's targets t."""
+    out = np.zeros((len(seeds), len(cands)), dtype=np.int64)
+    for j, row in enumerate(seeds):
+        targets = np.flatnonzero(row)
+        for lo in range(0, len(cands), 64):
+            counts = np.bitwise_count(cands[lo : lo + 64, None] ^ targets[None, :])
+            out[j, lo : lo + 64] = np.bitwise_or.reduce(1 << counts.astype(np.int64), axis=1)
+    return out
+
+
+class TestTwoHalfSweep:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_brute_force_popcount(self, n):
+        """Odd and even splits of the bits, 1 to 4 rows of one target up
+        to the whole cube, read back in world order."""
+        rng = np.random.default_rng(100 + n)
+        worlds = np.concatenate(([0, (1 << n) - 1], rng.integers(0, 1 << n, 300)))
+        cands = rng.permutation(np.unique(worlds)).astype(np.int64)
+        counts = [1, max(1, (1 << n) // 8), max(1, (1 << n) // 2), 1 << n]
+        for k in range(1, 5):
+            seeds = np.array(
+                [_truth_table(rng.choice(1 << n, c, replace=False), n) for c in counts[:k]]
+            )
+            got = _kernels._sweep(seeds.astype(np.uint32), n)
+            assert got.dtype == np.uint32 and got.shape == (k, 1 << n)
+            assert np.array_equal(got[:, cands], _brute_sets(cands, seeds))
+
+
 def _spy(monkeypatch, names):
     """Record, in order, which of the named kernel functions run."""
     calls = []
@@ -182,6 +212,28 @@ class TestMatrixKernel:
             assert np.array_equal(got, expected)
             assert np.array_equal(got, _brute_matrix(cands, truth_tables, table))
         assert calls == ["_sweep"] * 3 * SEARCHED
+
+
+    @pytest.mark.parametrize("per_batch", [1, 2])
+    @pytest.mark.parametrize("n", [4, 7, 12, 13])
+    def test_hamming_and_zigzag_in_split_batches(self, n, per_batch, monkeypatch):
+        """Every column swept, one or two columns a batch: the column-major
+        matrix matches brute-force popcount for Hamming and the ZIGZAG table."""
+        monkeypatch.setattr(_kernels, "_SWEEP_OVERHEAD", -(1 << n))
+        monkeypatch.setattr(_kernels, "_CUBE_CELLS", per_batch << n)
+        rng = np.random.default_rng(20 + n)
+        cands = rng.integers(0, 1 << n, 600).astype(np.int64)
+        truth_tables = [
+            _truth_table(rng.choice(1 << n, c, replace=False), n)
+            for c in (1, 3, (1 << n) // 4 or 1, (1 << n) // 2 or 1, 1 << n)
+        ]
+        calls = _spy(monkeypatch, ["_sweep"])
+        identity, _, _, zigzag, _, _ = _tables(n)
+        for table in (identity, zigzag):
+            got = _kernels.min_mapped_matrix(cands, truth_tables, table, n)
+            assert got.flags.f_contiguous and got.dtype == np.int64
+            assert np.array_equal(got, _brute_matrix(cands, truth_tables, table))
+        assert len(calls) == 2 * -(-len(truth_tables) // per_batch)
 
 
 class TestPairwiseReadouts:

@@ -34,7 +34,7 @@ from beliefmerge.formulae import TRUE
 from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
 from beliefmerge import merge as merge_module
-from beliefmerge.merge import _lp_merge, _scores, distinct_front
+from beliefmerge.merge import _argmin_merge, _lp_merge, _scores, distinct_front
 from beliefmerge.weights import expand_scheme, parse_scheme
 
 from oracles import (
@@ -278,6 +278,36 @@ def _matrix(rng, k, m, low, high):
     )
 
 
+def _check_distinct(matrix):
+    """distinct_front against the np.unique oracle and the dominance definition."""
+    rows, first, inverse, front = distinct_front(matrix)
+    want_rows, want_first, want_inverse = unique_rows(matrix)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse)
+    distinct = [tuple(r) for r in want_rows.tolist()]
+    assert front.tolist() == [
+        not any(strictly_dominates(e, d) for e in distinct) for d in distinct
+    ]
+    return rows, first, inverse, front
+
+
+def _pooled(rng, k, pools):
+    """A k x len(pools) int64 matrix whose column j draws from pools[j]."""
+    return np.array(
+        [[pool[rng.below(len(pool))] for pool in pools] for _ in range(k)], dtype=np.int64
+    )
+
+
+# columns whose ranges reach 2^63 - 1, 2^63 + 6 and 2^64 - 1
+EXTREME_POOLS = [
+    [0, 2**63 - 1, 5],
+    [-(2**62) - 3, -(2**62), 5, 2**62, 2**62 + 3],
+    [-(2**63), 0, 2**63 - 1],
+]
+
+
 class TestDistinctFront:
     SHAPES = [
         (1, 3, 0, 5),  # one row
@@ -287,22 +317,67 @@ class TestDistinctFront:
         (60, 4, 0, 4),
         (80, 2, 2**62 - 3, 6),  # entries near 2^62
         (50, 3, 2**62, 3),
+        (50, 3, -40, 80),  # negative entries, as visible_hull's points
+        (60, 18, 0, 3),  # 3^18: one word, too wide to count
+        (60, 18, 0, 2**20),  # three columns a word, six words
+        (60, 30, 0, 7),  # 22 columns in the first word, 8 in the second
+        (6144, 3, 0, 3),  # a kernel_wide matrix
     ]
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_unique_rows(self, seed, shape):
-        matrix = _matrix(Xoshiro256StarStar(seed), *shape)
-        rows, first, inverse, front = distinct_front(matrix)
-        want_rows, want_first, want_inverse = unique_rows(matrix)
-        assert rows.dtype == np.int64
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(first, want_first)
-        assert np.array_equal(inverse, want_inverse)
-        distinct = [tuple(r) for r in want_rows.tolist()]
-        assert front.tolist() == [
-            not any(strictly_dominates(e, d) for e in distinct) for d in distinct
+        rng = Xoshiro256StarStar(seed)
+        matrix = _matrix(rng, *shape)
+        _check_distinct(matrix)
+        _check_distinct(matrix[[rng.below(len(matrix)) for _ in range(len(matrix))]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("columns", [[0], [1], [2], [0, 1, 2], [2, 1, 0], [1, 0, 1, 2]])
+    def test_columns_as_wide_as_int64(self, seed, columns):
+        """A column whose range passes 2^63 is a raw word of its own; one
+        reaching 2^63 - 1 still packs, as one digit of its own word."""
+        rng = Xoshiro256StarStar(seed)
+        pools = [EXTREME_POOLS[j] for j in columns] + [[0, 1, 2]]
+        _check_distinct(_pooled(rng, 60, pools))
+
+    @pytest.mark.parametrize("shape", [(300, 3, 0, 3), (80, 5, -3, 7), (60, 30, 0, 7)])
+    def test_memory_orders(self, shape):
+        """C-ordered, F-ordered and column-sliced inputs, as the
+        kernel's column-major matrix, multi_source_merge's product and
+        the postulate checkers' selections are."""
+        wide = _matrix(Xoshiro256StarStar(9), shape[0], 2 * shape[1], *shape[2:])
+        want = _check_distinct(np.ascontiguousarray(wide[:, ::2]))
+        for matrix in (np.asfortranarray(wide[:, ::2]), wide[:, ::2],
+                       np.asfortranarray(wide)[:, ::2]):
+            got = _check_distinct(matrix)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counting_and_sorting_agree(self, seed, monkeypatch):
+        """The size rule forced each way on the same single-word matrices:
+        the counting and the sorting grouping give the same four arrays."""
+        rng = Xoshiro256StarStar(seed)
+        matrices = [
+            _matrix(rng, *shape)
+            for shape in [(1, 3, 0, 5), (200, 3, 0, 2), (50, 3, -40, 80),
+                          (80, 2, 2**62 - 3, 6), (2048, 3, 0, 5), (40, 4, 0, 30)]
         ]
+        lexsort, sorted_calls = np.lexsort, []
+
+        def spy(keys):
+            sorted_calls.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        results = {}
+        for slack in (-(2**40), 2**20):  # always sort; count every span up to 2^20
+            monkeypatch.setattr(merge_module, "_COUNTING_SLACK", slack)
+            results[slack] = [_check_distinct(m) for m in matrices]
+            assert len(sorted_calls) == (len(matrices) if slack < 0 else 0)
+            sorted_calls.clear()
+        for by_sort, by_count in zip(*results.values()):
+            assert all(np.array_equal(a, b) for a, b in zip(by_sort, by_count))
 
 
 def _antichain(rng, m, top, level, count):
@@ -395,10 +470,59 @@ class TestRowGeneration:
         matrix = np.array([[2**62, 1], [1, 2**62]], dtype=np.int64)
         scores = _scores(matrix, [(3, 1)])
         assert scores.dtype == object
-        assert scores[:, 0].tolist() == [3 * 2**62 + 1, 3 + 2**62]
+        assert scores[0].tolist() == [3 * 2**62 + 1, 3 + 2**62]
         # the bound max entry * max weight sum decides: 2^63 is past int64
         assert _scores(matrix, [(1, 1)]).dtype == object
         assert _scores(matrix - 1, [(1, 1)]).dtype == np.int64
+
+
+def _brute_argmin(matrix, vectors):
+    """(rows, witness_index) by Python-int scores, one vector at a time:
+    a row is chosen at the first vector under which it is minimal."""
+    witness = {}
+    for j, w in enumerate(vectors):
+        scores = [sum(a * b for a, b in zip(w, row)) for row in matrix.tolist()]
+        for r, s in enumerate(scores):
+            if s == min(scores):
+                witness.setdefault(r, j)
+    rows = sorted(witness)
+    return rows, [witness[r] for r in rows]
+
+
+class TestArgminMerge:
+    def _check(self, matrix, vectors):
+        rows, got_vectors, witness_index = _argmin_merge(matrix, vectors)
+        assert got_vectors is vectors
+        assert (rows.tolist(), witness_index.tolist()) == _brute_argmin(matrix, vectors)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_matrices_and_schemes(self, seed):
+        rng = Xoshiro256StarStar(seed)
+        m = 1 + rng.below(5)
+        matrix = _matrix(rng, 5 + rng.below(300), m, 0, 2 + rng.below(6))
+        vectors = [tuple(1 + rng.below(6) for _ in range(m)) for _ in range(1 + rng.below(20))]
+        self._check(matrix, vectors)
+
+    def test_a_single_vector(self):
+        matrix = np.array([[2, 0], [1, 1], [0, 2], [3, 3], [1, 1]], dtype=np.int64)
+        self._check(matrix, [(1, 1)])  # four rows tie at 2
+        self._check(matrix, [(2, 1)])
+
+    def test_ties_go_to_the_first_vector(self):
+        # row 1 is minimal under all three vectors, row 0 ties it under the last
+        matrix = np.array([[0, 4], [1, 1], [4, 0]], dtype=np.int64)
+        rows, _, witness_index = _argmin_merge(matrix, [(1, 2), (1, 1), (3, 1)])
+        assert rows.tolist() == [0, 1] and witness_index.tolist() == [2, 0]
+        self._check(matrix, [(1, 2), (1, 1), (3, 1)])
+        self._check(matrix, [(1, 1), (1, 1), (2, 1)])  # a repeated vector
+
+    def test_scores_past_two_to_the_63(self):
+        # 3 * 2^62 + 1 and 2^62 + 3 pass int64: the object path decides
+        matrix = np.array([[2**62, 1], [1, 2**62], [2**61, 2**61]], dtype=np.int64)
+        vectors = [(3, 1), (1, 3), (1, 1)]
+        assert _scores(matrix, vectors).dtype == object
+        self._check(matrix, vectors)
+        self._check(matrix, [(2, 2)])
 
 
 class TestMergeResult:
