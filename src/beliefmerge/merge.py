@@ -10,12 +10,15 @@ only mu bitmasks and a matrix, so a caller can merge row and column
 selections of one instance's matrix. A finite scheme scores every row
 against every integer weight vector with one exact matrix product and
 keeps the column minima. The all-positive scheme excludes every row off
-the Pareto front and decides the distinct front rows by row generation:
-an exact LP (lp.decide) over a few active front rows, a witness checked
-against the whole front by one exact product, the most violated rows
-added until none is left, and every undecided row that ties under a
-found witness selected with it. An excluded model's certificate comes
-from lp.decide too: at most m other models whose convex combination of
+the Pareto front and decides the distinct front rows in three exact
+steps: a select screen (the argmin of the front against the first 64
+small positive weight vectors), an exclude screen (a midpoint of two
+front rows that strictly dominates the row), and row generation for the
+rest: an exact LP (lp.decide) over a few active front rows, a witness
+checked against the whole front by one exact product, the most violated
+rows added until none is left, and every undecided row that ties under
+a found witness selected with it. An excluded model's certificate comes
+from lp.decide: at most m other models whose convex combination of
 vectors beats it; a selected model's witness is read off the
 all-positive merge. Rows are deduplicated on mixed-radix packed keys,
 by counting when the keys span little more than the rows and by a
@@ -28,8 +31,10 @@ its witness vectors per row; its Model views are built on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cache, cached_property
+from itertools import count
+from math import gcd
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,25 +87,18 @@ class Instance:
                 raise InconsistentProfileError(idx)
             tables.append(table)
         self.profile_tables = tuple(tables)
-        self._models: tuple[Model, ...] | None = None
         self._distances: dict[DistanceKind, np.ndarray] = {}
 
     @property
     def m(self) -> int:
         return len(self.profile)
 
-    def mu_models(self) -> tuple[Model, ...]:
-        """Models of mu in lexicographic bit order."""
-        if self._models is None:
-            self._models = tuple(self._models_at(slice(None)))
-        return self._models
-
     def _models_at(self, rows) -> list[Model]:
         return [Model(self.universe, b) for b in self.mu_bits[rows].tolist()]
 
     def distances(self, kind: DistanceKind) -> np.ndarray:
         """Read-only int64 matrix of d(I, F_j): one row per mu model, in
-        the order of mu_models(), one column per profile entry."""
+        the order of mu_bits, one column per profile entry."""
         if kind not in self._distances:
             self._distances[kind] = _read_only(
                 distance_matrix(kind, self.mu_bits, self.profile_tables, self.universe.n)
@@ -108,7 +106,7 @@ class Instance:
         return self._distances[kind]
 
     def vectors(self, kind: DistanceKind) -> tuple[tuple[int, ...], ...]:
-        """Distance vectors d(I, F_1..F_m) as int tuples, aligned with mu_models()."""
+        """Distance vectors d(I, F_1..F_m) as int tuples, aligned with mu_bits."""
         return tuple(map(tuple, self.distances(kind).tolist()))
 
     def model_index(self, i: Model) -> int:
@@ -250,32 +248,109 @@ def _argmin_merge(matrix: np.ndarray, vectors):
     return rows, vectors, hit[:, rows].argmax(axis=0)
 
 
+_SCREEN_SIZE = 64  # weight vectors the select screen tries before any LP
 _NEAREST_CELLS = 4096  # L1 distances sorted at once: block rows x front rows
+_PAIR_CELLS = 1 << 16  # cells compared at once by the exclude screen
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of total into parts positive parts, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+@cache
+def _screen_vectors(m: int) -> tuple[tuple[int, ...], ...]:
+    """The first _SCREEN_SIZE positive integer m-vectors with gcd 1, by
+    increasing sum and lexicographically within a sum; (1,) is the only
+    one for m = 1."""
+    if m == 1:
+        return ((1,),)
+    vectors = []
+    for total in count(m):
+        for v in _compositions(total, m):
+            if gcd(*v) == 1:
+                vectors.append(v)
+                if len(vectors) == _SCREEN_SIZE:
+                    return tuple(vectors)
+
+
+def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
+    """For each front row d = front_rows[i], i in asked, the first pair
+    (a, b) of front row indices with gap = 2d - front_rows[a] -
+    front_rows[b] >= 0 in every coordinate and != 0, so that their
+    midpoint strictly dominates d; (-1, -1) where no pair does. Entries
+    are non-negative, so only rows <= 2d can take part. Python ints
+    (object) once 2d can reach 2^63; at most _PAIR_CELLS cells are
+    compared at once."""
+    if 2 * int(front_rows.max()) >= 2**63:
+        front_rows = front_rows.astype(object)
+    pairs = np.full((len(asked), 2), -1, dtype=np.intp)
+    block = max(1, _PAIR_CELLS // front_rows.size)
+    for start in range(0, len(asked), block):
+        doubled = 2 * front_rows[asked[start : start + block]]
+        fits = (front_rows[None, :, :] <= doubled[:, None, :]).all(axis=2)
+        for k, (twice, fit) in enumerate(zip(doubled, fits), start):
+            members = np.flatnonzero(fit)
+            cand = front_rows[members]
+            slack = twice - cand
+            chunk = max(1, _PAIR_CELLS // max(cand.size, 1))
+            for a in range(0, len(cand), chunk):
+                gap = slack[a : a + chunk, None, :] - cand[None, :, :]
+                ok = (gap >= 0).all(axis=2) & (gap != 0).any(axis=2)
+                if ok.any():
+                    i, j = np.unravel_index(int(ok.argmax()), ok.shape)
+                    pairs[k] = members[a + i], members[j]
+                    break
+    return pairs
 
 
 def _lp_merge(matrix: np.ndarray):
-    """All-positive scheme over the Pareto front, by row generation;
-    returns (rows, weights, witness_index) as _argmin_merge does.
+    """All-positive scheme over the Pareto front; returns (rows, weights,
+    witness_index) as _argmin_merge does.
 
     A row off the front is excluded: a front row strictly dominates it.
-    Each undecided front row d is asked of lp.decide against an active
-    set of other front rows, seeded with the m nearest to d in L1. A
-    zero optimum is a certificate over the whole front. A witness is
-    checked against every front row; while some row scores below d, the
-    m most violated join the active set and the LP runs again. A witness
-    that passes selects every undecided front row tying d's score, so
-    those rows are never asked. The L1 order is sorted for a block of
-    the next undecided rows at once, _NEAREST_CELLS // |front| of them.
+    The distinct front rows are decided in three steps, each settling a
+    row only with an exactly checked certificate:
+
+    1. Select screen: one _argmin_merge of the front rows against
+       _screen_vectors(m). A row some vector makes minimal is selected,
+       witnessed by the first such vector. A front of one row is
+       decided here, by (1, ..., 1).
+    2. Exclude screen: a remaining row d is excluded when the midpoint
+       of two front rows strictly dominates it (_midpoint_pairs), a
+       convex certificate of 2 <= m rows.
+    3. Row generation: each row still undecided is asked of lp.decide
+       against an active set of other front rows, seeded with the m
+       nearest to it in L1. A zero optimum is a certificate over the
+       whole front. A witness is checked against every front row; while
+       some row scores below d, the m most violated join the active set
+       and the LP runs again. A witness that passes selects every
+       undecided front row tying d's score, so those rows are never
+       asked. The L1 order is sorted for a block of the next undecided
+       rows at once, _NEAREST_CELLS // |front| of them.
     """
     rows, _, inverse, front = distinct_front(matrix)
     on_front = np.flatnonzero(front)
     front_rows = rows[on_front]
     m = front_rows.shape[1]
-    weights = []
+    hit, vectors, hit_index = _argmin_merge(front_rows, _screen_vectors(m))
+    used, hit_slot = np.unique(hit_index, return_inverse=True)
+    weights = [vectors[j] for j in used.tolist()]
     slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
+    slot[on_front[hit]] = hit_slot
     undecided = np.ones(len(front_rows), dtype=bool)
+    undecided[hit] = False
+    rest = np.flatnonzero(undecided)
+    if len(rest):
+        undecided[rest[_midpoint_pairs(front_rows, rest)[:, 0] >= 0]] = False
     nearest = {}  # row of the current block -> all front rows, nearest to it in L1 first
-    for i, d in enumerate(front_rows.tolist()):
+    for i in np.flatnonzero(undecided).tolist():
         if not undecided[i]:
             continue
         if i not in nearest:  # i is past the last block: order the next one
@@ -283,6 +358,7 @@ def _lp_merge(matrix: np.ndarray):
             l1 = np.abs(front_rows[block, None, :] - front_rows[None, :, :]).sum(axis=2)
             nearest = dict(zip(block.tolist(), np.argsort(l1, axis=1, kind="stable")))
         undecided[i] = False
+        d = front_rows[i].tolist()
         order = nearest[i]
         active = np.sort(order[order != i][:m])
         while True:

@@ -9,9 +9,12 @@ the differential oracle for lp.decide. Two replaced algorithms are kept
 as they were: ``recursive_truth_table`` (one numpy column per AST node)
 is the reference for the packed-word truth tables, and
 ``full_row_lp_merge`` (one lp.decide per front row against every other
-front row) the reference for the all-weights merge's row generation. ``unique_rows`` (numpy's
-``unique(axis=0)``) is the reference for merge.distinct_front's stable
-lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
+front row) the reference for the all-weights merge's row generation.
+``row_generation_merge`` (row generation over every front row, with no
+screen before it) is the reference for the screened all-weights merge,
+and ``mu_models`` (a Model per mu bitmask) a test-side view of an
+Instance. ``unique_rows`` (numpy's ``unique(axis=0)``) is the
+reference for merge.distinct_front's stable lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
 reference for the CLI's array-based ``merge --json`` writer. The subset
 enumerator ``subset_maxcons``, which the drastic Pareto front replaced,
 is the differential oracle for maxcons and its disjunction.
@@ -25,12 +28,15 @@ call per AST node) are the references for the stack-based parser and
 printer.
 """
 
+import importlib.util
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +55,7 @@ from beliefmerge.formulae import (
     Or,
     Var,
 )
-from beliefmerge.merge import distinct_front
+from beliefmerge.merge import _scores, distinct_front
 from beliefmerge.weights import scheme_to_text
 
 
@@ -396,6 +402,82 @@ def full_row_lp_merge(matrix: np.ndarray) -> dict[int, tuple[int, ...]]:
         if w is not None:
             found[i] = w
     return {r: found[i] for r, i in enumerate(inverse.tolist()) if i in found}
+
+
+_NEAREST_CELLS = 4096  # L1 distances sorted at once: block rows x front rows
+
+
+def row_generation_merge(matrix: np.ndarray):
+    """All-positive scheme over the Pareto front, by row generation;
+    returns (rows, weights, witness_index) as _argmin_merge does.
+
+    A row off the front is excluded: a front row strictly dominates it.
+    Each undecided front row d is asked of lp.decide against an active
+    set of other front rows, seeded with the m nearest to d in L1. A
+    zero optimum is a certificate over the whole front. A witness is
+    checked against every front row; while some row scores below d, the
+    m most violated join the active set and the LP runs again. A witness
+    that passes selects every undecided front row tying d's score, so
+    those rows are never asked. The L1 order is sorted for a block of
+    the next undecided rows at once, _NEAREST_CELLS // |front| of them.
+    """
+    rows, _, inverse, front = distinct_front(matrix)
+    on_front = np.flatnonzero(front)
+    front_rows = rows[on_front]
+    m = front_rows.shape[1]
+    weights = []
+    slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
+    undecided = np.ones(len(front_rows), dtype=bool)
+    nearest = {}  # row of the current block -> all front rows, nearest to it in L1 first
+    for i, d in enumerate(front_rows.tolist()):
+        if not undecided[i]:
+            continue
+        if i not in nearest:  # i is past the last block: order the next one
+            block = np.flatnonzero(undecided)[: max(1, _NEAREST_CELLS // len(front_rows))]
+            l1 = np.abs(front_rows[block, None, :] - front_rows[None, :, :]).sum(axis=2)
+            nearest = dict(zip(block.tolist(), np.argsort(l1, axis=1, kind="stable")))
+        undecided[i] = False
+        order = nearest[i]
+        active = np.sort(order[order != i][:m])
+        while True:
+            w = lp.decide(d, front_rows[active].tolist())[0]
+            if w is None:
+                break
+            scores = _scores(front_rows, [w])[0]
+            violated = np.flatnonzero(scores < scores[i])
+            if len(violated) == 0:
+                break
+            worst = violated[np.argsort(scores[violated], kind="stable")[:m]]
+            active = np.sort(np.concatenate((active, worst)))
+        if w is not None:
+            ties = undecided & (scores == scores[i])
+            ties[i] = True
+            slot[on_front[ties]] = len(weights)
+            weights.append(w)
+            undecided &= ~ties
+    witness_index = slot[inverse]
+    chosen = np.flatnonzero(witness_index >= 0)
+    return chosen, weights, witness_index[chosen]
+
+
+_MU_MODELS = weakref.WeakKeyDictionary()  # Instance -> its mu models
+
+
+def mu_models(inst) -> tuple[Model, ...]:
+    """Models of mu in mu_bits order (lexicographic bit order), built
+    once per instance."""
+    if inst not in _MU_MODELS:
+        _MU_MODELS[inst] = tuple(Model(inst.universe, b) for b in inst.mu_bits.tolist())
+    return _MU_MODELS[inst]
+
+
+def perfbench_inputs():
+    """perfbench/inputs.py, read as a module without touching sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sweep_column(cands: np.ndarray, targets: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:

@@ -49,7 +49,7 @@ from beliefmerge.maxcons import maxcons_disjunction as _disj
 from beliefmerge.merge import Instance as _Instance
 from beliefmerge.postulates import Verdict
 
-from oracles import LinConstraint, LinSystem, feasible, minimality_system
+from oracles import LinConstraint, LinSystem, feasible, minimality_system, mu_models
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
@@ -75,7 +75,7 @@ def suite_instances(count: int, base_seed: int, n_max: int, m_max: int):
 
 def vec_map(inst, kind):
     vectors = inst.vectors(kind)
-    return {vectors[i]: m for i, m in enumerate(inst.mu_models())}
+    return {vectors[i]: m for i, m in enumerate(mu_models(inst))}
 
 
 def test_criterion_01_intro_tables():
@@ -141,7 +141,7 @@ def test_criterion_05_exponential_construction():
     assert feasible(single_vector_system) is None
 
     two = replicated_blocks(2)
-    assert merge_scheme(two, ALL, DH).models == frozenset(two.mu_models())
+    assert merge_scheme(two, ALL, DH).models == frozenset(mu_models(two))
     vectors = sorted(set(two.vectors(DH)))
     extremes = [v for v in vectors if (1, 1) not in (v[:2], v[2:])]
     assert len(extremes) == 4
@@ -155,7 +155,7 @@ def test_criterion_05_exponential_construction():
 def test_criterion_06_m_models_bound():
     for inst in suite_instances(120, base_seed=1006, n_max=4, m_max=3):
         vectors = inst.vectors(DH)
-        for idx, model in enumerate(inst.mu_models()):
+        for idx, model in enumerate(mu_models(inst)):
             witness = minimal_for_some_positive(model, inst, DH)
             subset = excluding_subset(model, inst, DH)
             others = [d for j, d in enumerate(vectors) if j != idx]

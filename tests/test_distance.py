@@ -25,6 +25,7 @@ from oracles import (
     brute_vector,
     dominates,
     evaluate,
+    mu_models,
     subsat,
 )
 
@@ -159,7 +160,7 @@ class TestFormulaDistance:
     def test_agrees_with_brute_force(self, kind, seed):
         inst = random_instance(4, 3, seed=seed)
         matrix = inst.distances(kind)
-        for m in inst.mu_models():
+        for m in mu_models(inst):
             row = matrix[inst.model_index(m)]
             for j, f in enumerate(inst.profile):
                 assert row[j] == brute_formula_distance(kind, m, f)
@@ -178,7 +179,7 @@ class TestProfileDistanceVector:
 
     def test_single_vector_realization_recomputed(self):
         inst = realize([[2, 2]], n=3)
-        (model,) = inst.mu_models()
+        (model,) = mu_models(inst)
         assert brute_vector(DH, model, inst.profile) == (2, 2)
         assert inst.vectors(DH) == ((2, 2),)
 
@@ -186,7 +187,7 @@ class TestProfileDistanceVector:
         inst = random_instance(4, 3, seed=17)
         for kind in (DD, DH, DS):
             vectors = inst.vectors(kind)
-            for idx, m in enumerate(inst.mu_models()):
+            for idx, m in enumerate(mu_models(inst)):
                 assert vectors[idx] == brute_vector(kind, m, inst.profile)
 
 
@@ -204,7 +205,7 @@ class TestSubsat:
     def test_drastic_dominance_equals_subsat_containment(self, seed):
         # containment of satisfied sets is exactly drastic vector dominance
         inst = random_instance(4, 4, seed=seed)
-        models = inst.mu_models()
+        models = mu_models(inst)
         vectors = inst.vectors(DD)
         for a, i in enumerate(models):
             for b, j in enumerate(models):

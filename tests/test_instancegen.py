@@ -25,6 +25,7 @@ from oracles import (
     evaluate,
     feasible,
     minimality_system,
+    mu_models,
 )
 
 DH = DistanceKind.hamming()
@@ -35,12 +36,12 @@ class TestRealize:
         inst = realize([[3, 0], [2, 2], [0, 3]])
         assert inst.universe.n == 6
         assert inst.m == 2
-        assert len(inst.mu_models()) == 3
+        assert len(mu_models(inst)) == 3
         assert sorted(inst.vectors(DH)) == [(0, 3), (2, 2), (3, 0)]
 
     def test_zero_vector_gives_fully_agreeing_model(self):
         inst = realize([[0]])
-        (model,) = inst.mu_models()
+        (model,) = mu_models(inst)
         assert evaluate(inst.profile[0], model)
 
     def test_narrowing_counterexample_vectors(self):
@@ -56,8 +57,8 @@ class TestRealize:
                 for _ in range(1 + rng.below(4))
             }
             inst = realize(sorted(vectors))
-            assert len(inst.mu_models()) == len(vectors)
-            got = {brute_vector(DH, model, inst.profile) for model in inst.mu_models()}
+            assert len(mu_models(inst)) == len(vectors)
+            got = {brute_vector(DH, model, inst.profile) for model in mu_models(inst)}
             assert got == vectors
 
     def test_explicit_block_size(self):
@@ -110,7 +111,7 @@ class TestReplicatedBlocks:
         inst = replicated_blocks(2)
         assert inst.universe.n == 12
         assert inst.m == 4
-        assert len(inst.mu_models()) == 9
+        assert len(mu_models(inst)) == 9
         vectors = set(inst.vectors(DH))
         assert vectors == {
             a + b for a in [(3, 0), (1, 1), (0, 3)] for b in [(3, 0), (1, 1), (0, 3)]
@@ -120,7 +121,7 @@ class TestReplicatedBlocks:
         for k in (1, 2):
             inst = replicated_blocks(k)
             merged = merge_scheme(inst, AllPositiveWeights(), DH)
-            assert merged.models == frozenset(inst.mu_models())
+            assert merged.models == frozenset(mu_models(inst))
 
     def test_extreme_pairs_share_no_weight_vector(self):
         # each sign-pattern model needs its own vector: for any two of
@@ -164,7 +165,7 @@ class TestRandomInstance:
     def test_everything_consistent_by_construction(self):
         for seed in range(20):
             inst = random_instance(3, 4, seed=seed)
-            assert inst.mu_models()
+            assert mu_models(inst)
             for f in inst.profile:
                 assert models_of(f, inst.universe)
 
@@ -181,7 +182,7 @@ class TestRandomInstance:
         loaded = load_instance_file(str(path)).instance()
         assert loaded.universe == inst.universe
         assert loaded.vectors(DH) == inst.vectors(DH)
-        assert loaded.mu_models() == inst.mu_models()
+        assert mu_models(loaded) == mu_models(inst)
 
 
 class TestStream:

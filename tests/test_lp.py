@@ -1,8 +1,6 @@
-import importlib.util
 import random
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +16,7 @@ from oracles import (
     fraction_witness,
     grid_feasible,
     minimality_system,
+    perfbench_inputs,
 )
 
 
@@ -234,15 +233,6 @@ class TestDecide:
         assert 0 < selected < len(FRONT_34)
 
 
-def _perfbench_inputs():
-    """perfbench/inputs.py, read as a module without touching sys.path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestWitnessReduction:
     """lp.decide's gcd-reduced witness against the Fraction route, on
     the (numerators, denominator) of every witness that decide builds."""
@@ -275,7 +265,7 @@ class TestWitnessReduction:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_equals_fraction_route_on_benchmark_fronts(self, calls, seed):
-        inputs = _perfbench_inputs()
+        inputs = perfbench_inputs()
         for i in range(len(inputs.LP_SLOTS) * inputs.LP_COPIES):
             vectors, block = inputs.front_vectors(seed, i)
             merge_scheme(realize(vectors, block), AllPositiveWeights(), DistanceKind.hamming())

@@ -21,6 +21,7 @@ from beliefmerge.formulae import TRUE, conjunction
 
 from oracles import (
     brute_maxcons,
+    mu_models,
     subsat,
     subset_maxcons,
     subset_maxcons_disjunction,
@@ -98,12 +99,12 @@ class TestMaxconsDisjunction:
         # a mu model satisfies some maxcon iff no mu model strictly
         # enlarges its satisfied subset
         inst = random_instance(4, 3, seed=seed)
-        mu_models = inst.mu_models()
+        models = mu_models(inst)
         in_disjunction = maxcons_disjunction(inst)
-        for i in mu_models:
+        for i in models:
             si = subsat(i, inst.profile)
             beaten = any(
-                si < subsat(j, inst.profile) for j in mu_models
+                si < subsat(j, inst.profile) for j in models
             )
             assert (i in in_disjunction) == (not beaten)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ from beliefmerge.formulae import TRUE
 from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
 from beliefmerge import merge as merge_module
-from beliefmerge.merge import _argmin_merge, _lp_merge, _scores, distinct_front
+from beliefmerge.merge import (
+    _argmin_merge,
+    _lp_merge,
+    _midpoint_pairs,
+    _scores,
+    _screen_vectors,
+    distinct_front,
+)
 from beliefmerge.weights import expand_scheme, parse_scheme
 
 from oracles import (
@@ -44,6 +52,9 @@ from oracles import (
     feasible,
     full_row_lp_merge,
     minimality_system,
+    mu_models,
+    perfbench_inputs,
+    row_generation_merge,
     strictly_dominates,
     unique_rows,
 )
@@ -57,7 +68,7 @@ def vec_of(inst, kind, model):
 
 
 def by_vector(inst, kind):
-    return {vec_of(inst, kind, m): m for m in inst.mu_models()}
+    return {vec_of(inst, kind, m): m for m in mu_models(inst)}
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +86,7 @@ class TestInstance:
     def test_drastic_matrix_from_tables_matches_brute_force(self, seed):
         inst = random_instance(2 + seed % 3, 1 + seed % 4, seed=seed)
         assert inst.distances(DD).tolist() == [
-            list(brute_vector(DD, m, inst.profile)) for m in inst.mu_models()
+            list(brute_vector(DD, m, inst.profile)) for m in mu_models(inst)
         ]
 
     def test_rejects_inconsistent_constraints(self):
@@ -216,7 +227,7 @@ class TestMinimalForSomePositive:
 class TestMergeScheme:
     def test_all_positive_keeps_all_three(self, intro):
         result = merge_scheme(intro, AllPositiveWeights(), DH)
-        assert result.models == frozenset(intro.mu_models())
+        assert result.models == frozenset(mu_models(intro))
 
     def test_all_positive_drops_cut_off_point(self, blocked):
         result = merge_scheme(blocked, AllPositiveWeights(), DH)
@@ -393,18 +404,45 @@ def _antichain(rng, m, top, level, count):
 
 
 class TestRowGeneration:
-    """The row-generating all-weights merge against the full-row oracle:
-    the same selected rows, each witness minimal over the whole matrix."""
+    """The screened all-weights merge against the full-row oracle and
+    row generation alone: the same selected rows, each witness minimal
+    over the whole matrix and each midpoint exclusion re-checked, all in
+    Python ints."""
+
+    @pytest.fixture(autouse=True)
+    def exclusions(self, monkeypatch):
+        """(d, a, b) for every exclusion the exclude screen makes."""
+        self.exclusions = []
+        pairs_of = merge_module._midpoint_pairs
+
+        def recorded(front_rows, asked):
+            pairs = pairs_of(front_rows, asked)
+            values = front_rows.tolist()
+            self.exclusions.extend(
+                (values[i], values[a], values[b])
+                for i, (a, b) in zip(asked.tolist(), pairs.tolist())
+                if a >= 0
+            )
+            return pairs
+
+        monkeypatch.setattr(merge_module, "_midpoint_pairs", recorded)
 
     def _check(self, matrix):
+        start = len(self.exclusions)
         rows, weights, witness_index = _lp_merge(matrix)
-        want = full_row_lp_merge(matrix)
-        assert rows.tolist() == sorted(want)
+        assert rows.tolist() == sorted(full_row_lp_merge(matrix))
+        assert rows.tolist() == row_generation_merge(matrix)[0].tolist()
+        values = matrix.tolist()
         for row, j in zip(rows.tolist(), witness_index.tolist()):
             w = weights[j]
             assert min(w) > 0
-            scores = matrix @ np.array(w, dtype=np.int64)
-            assert scores[row] == scores.min()
+            scores = [sum(a * b for a, b in zip(v, w)) for v in values]
+            assert scores[row] == min(scores)
+        selected = {tuple(v) for v in matrix[rows].tolist()}
+        for d, a, b in self.exclusions[start:]:
+            gap = [2 * x - y - z for x, y, z in zip(d, a, b)]
+            assert min(gap) >= 0 and any(gap)
+            assert tuple(d) not in selected
 
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("seed", range(4))
@@ -416,7 +454,8 @@ class TestRowGeneration:
     @pytest.mark.parametrize(
         "m, top, level, count",
         [(2, 6, 5, 8), (3, 4, 6, 15), (4, 3, 6, 20), (5, 2, 5, 15),
-         (6, 3, 9, 30), (7, 2, 7, 30), (8, 2, 8, 40)],
+         (6, 3, 9, 30), (7, 2, 7, 30), (8, 2, 8, 40),
+         (2, 20, 20, 15), (3, 12, 16, 20), (5, 4, 10, 60), (6, 3, 8, 80)],
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_two_level_antichains(self, m, top, level, count, seed):
@@ -427,8 +466,23 @@ class TestRowGeneration:
         # witness scores pass 2^63 and are checked in Python ints
         self._check(_matrix(Xoshiro256StarStar(seed), 30, 3, 2**62 - 3, 6))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_fronts(self, seed):
+        inputs = perfbench_inputs()
+        for i in range(len(inputs.LP_SLOTS) * inputs.LP_COPIES):
+            vectors, _ = inputs.front_vectors(seed, i)
+            self._check(np.array(vectors, dtype=np.int64))
+        assert self.exclusions
+
+    def test_doubled_rows_past_two_to_the_63(self):
+        # 2d passes int64: the midpoint of a and b is checked in Python ints
+        big = 2**62
+        matrix = np.array([[big, big + 3], [big + 3, big], [big + 2, big + 2]], dtype=np.int64)
+        self._check(matrix)
+        assert self.exclusions == [([big + 2] * 2, [big, big + 3], [big + 3, big])]
+
     def test_front_of_at_most_m_plus_one_rows(self):
-        # every other row is in the seed, so each LP is the full-row one
+        # the select screen decides it; any LP would hold every other front row
         matrix = np.array([[3, 0], [1, 1], [0, 3], [2, 2]], dtype=np.int64)
         self._check(matrix)
 
@@ -436,8 +490,8 @@ class TestRowGeneration:
     @pytest.mark.parametrize(
         "matrix",
         [
-            np.array([[3, 0, 1], [1, 1, 1], [0, 3, 0], [2, 2, 0]], dtype=np.int64),
-            _antichain(Xoshiro256StarStar(4), 3, 4, 6, 15),
+            np.array([[1, 5, 5], [5, 5, 0], [2, 0, 1], [1, 3, 6]], dtype=np.int64),
+            _antichain(Xoshiro256StarStar(0), 3, 12, 16, 20),
             _antichain(Xoshiro256StarStar(5), 4, 3, 6, 20),
         ],
         ids=["m_plus_one_rows", "m3", "m4"],
@@ -445,7 +499,8 @@ class TestRowGeneration:
     def test_first_question_seeds_the_m_nearest_rows(self, matrix, cells, monkeypatch):
         """Each front row's first LP holds the m front rows nearest to it
         in L1 (ties in front order), listed in front order: every other
-        row on a front of at most m + 1 rows."""
+        row on a front of at most m + 1 rows. On these fronts the screens
+        leave at least two rows to the LP."""
         monkeypatch.setattr(merge_module, "_NEAREST_CELLS", cells)
         asked = {}
         decide = merge_module.lp.decide
@@ -474,6 +529,74 @@ class TestRowGeneration:
         # the bound max entry * max weight sum decides: 2^63 is past int64
         assert _scores(matrix, [(1, 1)]).dtype == object
         assert _scores(matrix - 1, [(1, 1)]).dtype == np.int64
+
+
+class TestScreens:
+    """The two exact screens before the all-weights LP."""
+
+    def test_a_midpoint_equal_to_the_row_does_not_exclude_it(self):
+        front = np.array([[0, 4], [4, 0], [2, 2], [1, 3]], dtype=np.int64)
+        assert _midpoint_pairs(front, np.array([2, 3])).tolist() == [[-1, -1], [-1, -1]]
+        front = np.array([[0, 4], [4, 0], [3, 3]], dtype=np.int64)
+        assert _midpoint_pairs(front, np.array([2])).tolist() == [[0, 1]]
+
+    def test_pairs_in_small_blocks(self, monkeypatch):
+        front = _antichain(Xoshiro256StarStar(1), 4, 6, 12, 40)
+        asked = np.arange(len(front))
+        want = _midpoint_pairs(front, asked)
+        monkeypatch.setattr(merge_module, "_PAIR_CELLS", 1)
+        assert np.array_equal(_midpoint_pairs(front, asked), want)
+        assert (want[:, 0] >= 0).any()
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_screen_vectors_are_the_first_with_gcd_one(self, m):
+        want, total = [], m
+        while len(want) < 64 and (m > 1 or total == 1):
+            want += sorted(
+                v for v in product(range(1, total - m + 2), repeat=m)
+                if sum(v) == total and gcd(*v) == 1
+            )
+            total += 1
+        assert list(_screen_vectors(m)) == want[:64]
+        assert _screen_vectors(m)[0] == (1,) * m
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[2, 3, 1]], dtype=np.int64),
+            np.array([[2, 3, 1], [2, 3, 1], [4, 3, 1], [2, 5, 7]], dtype=np.int64),
+            np.array([[7]] * 3 + [[9]], dtype=np.int64),
+        ],
+        ids=["one_row", "dominated_and_repeated", "m1"],
+    )
+    def test_one_row_front_is_witnessed_by_ones_without_an_lp(self, matrix, monkeypatch):
+        monkeypatch.setattr(merge_module.lp, "decide", None)  # any call fails
+        rows, weights, witness_index = _lp_merge(matrix)
+        best = matrix.sum(axis=1) == matrix.sum(axis=1).min()
+        assert rows.tolist() == np.flatnonzero(best).tolist()
+        assert [weights[j] for j in witness_index.tolist()] == [(1,) * matrix.shape[1]] * len(rows)
+
+    def test_lp_work_on_benchmark_fronts(self, monkeypatch):
+        """The LP calls and simplex pivots of one round of perfbench's
+        lp_front inputs (seed 1). Row generation alone makes 339 calls
+        and 1810 pivots there; rows the screens settle never reach the
+        simplex."""
+        counts = {"decide": 0, "pivot": 0}
+
+        def counted(name, function):
+            def call(*args):
+                counts[name] += 1
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(merge_module.lp, "decide", counted("decide", merge_module.lp.decide))
+        monkeypatch.setattr(merge_module.lp, "_pivot", counted("pivot", merge_module.lp._pivot))
+        inputs = perfbench_inputs()
+        for i in range(len(inputs.LP_SLOTS) * inputs.LP_COPIES):
+            vectors, block = inputs.front_vectors(1, i)
+            merge_scheme(realize(vectors, block), AllPositiveWeights(), DH)
+        assert counts["decide"] <= 26
+        assert counts["pivot"] <= 159
 
 
 def _brute_argmin(matrix, vectors):
@@ -552,12 +675,12 @@ class TestUndominated:
             )
 
     def test_strictly_larger_than_all_positive_on_blocked(self, blocked):
-        assert undominated(blocked, DH) == frozenset(blocked.mu_models())
+        assert undominated(blocked, DH) == frozenset(mu_models(blocked))
 
     def test_single_model(self):
         u = Universe(["x"])
         inst = Instance(u, parse_formula("x", u), [parse_formula("x", u)])
-        assert undominated(inst, DH) == frozenset(inst.mu_models())
+        assert undominated(inst, DH) == frozenset(mu_models(inst))
 
 
 class TestExcludingSubset:
@@ -568,14 +691,14 @@ class TestExcludingSubset:
         assert {vec_of(blocked, DH, m) for m in subset} == {(3, 0), (0, 3)}
 
     def test_selected_model_has_none(self, intro):
-        for m in intro.mu_models():
+        for m in mu_models(intro):
             assert excluding_subset(m, intro, DH) is None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_subset_bound_and_consistency_with_full_system(self, seed):
         inst = random_instance(4, 3, seed=seed)
         vectors = inst.vectors(DH)
-        for idx, model in enumerate(inst.mu_models()):
+        for idx, model in enumerate(mu_models(inst)):
             selected = minimal_for_some_positive(model, inst, DH) is not None
             subset = excluding_subset(model, inst, DH)
             full = feasible(

@@ -36,7 +36,7 @@ from beliefmerge.postulates import (
     product_scheme,
 )
 
-from oracles import brute_closest_pairs, brute_score, evaluate
+from oracles import brute_closest_pairs, brute_score, evaluate, mu_models
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
@@ -52,7 +52,7 @@ def _cfg(scheme=ALL, kind=DH):
 def _mu_prime_from_vectors(inst, kind, wanted):
     vecs = inst.vectors(kind)
     chosen = [
-        m for i, m in enumerate(inst.mu_models()) if vecs[i] in wanted
+        m for i, m in enumerate(mu_models(inst)) if vecs[i] in wanted
     ]
     return formula_from_models(chosen, inst.universe)
 
@@ -218,7 +218,7 @@ class TestIC8:
     def test_fixed_counterexample_fails_with_documented_weights(self):
         inst = realize([[1, 0], [0, 1], [0, 2]])
         vecs = inst.vectors(DH)
-        models = {vecs[i]: m for i, m in enumerate(inst.mu_models())}
+        models = {vecs[i]: m for i, m in enumerate(mu_models(inst))}
 
         base = merge_scheme(inst, ALL, DH).models
         assert base == {models[(1, 0)], models[(0, 1)]}
