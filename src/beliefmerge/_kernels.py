@@ -17,6 +17,10 @@ other column takes one of two exact paths, chosen from its sizes alone:
 * pairwise: chunked broadcasting over |cands| x |targets|, cheaper when
   that product is small next to the cube
 
+One cell budget, CELLS, bounds every chunked temporary in the package:
+no broadcast block, sweep batch or pair test holds more than about
+CELLS elements (or one row of them, where a single row is wider).
+
 A non-decreasing table (Hamming) is read with one lookup per candidate,
 at its nearest count, as min and a monotone map commute: the pairwise
 block's uint8 row minimum, or the sweep set's lowest bit.
@@ -33,21 +37,21 @@ import numpy as np
 
 from .errors import UnsatisfiableFormulaError
 
-_CHUNK = 4096  # pairwise path materializes a CHUNK x len(targets) block
+CELLS = 1 << 20  # elements in any one broadcast temporary
 _SWEEP_OVERHEAD = 2048  # measured fixed cost of one sweep pass, in element operations
-_CUBE_CELLS = 1 << 20  # per sweep batch: one column at a time from n = 20 on
 
 
 def _min_mapped_numpy(
     cands: np.ndarray, targets: np.ndarray, table: np.ndarray, monotone: bool
 ) -> np.ndarray:
     out = np.empty(cands.shape[0], dtype=np.int64)
-    for lo in range(0, cands.shape[0], _CHUNK):
-        counts = np.bitwise_count(cands[lo : lo + _CHUNK, None] ^ targets[None, :])
+    chunk = max(1, CELLS // len(targets))
+    for lo in range(0, cands.shape[0], chunk):
+        counts = np.bitwise_count(cands[lo : lo + chunk, None] ^ targets[None, :])
         if monotone:
-            out[lo : lo + _CHUNK] = table[counts.min(axis=1)]
+            out[lo : lo + chunk] = table[counts.min(axis=1)]
         else:
-            out[lo : lo + _CHUNK] = table[counts].min(axis=1)
+            out[lo : lo + chunk] = table[counts].min(axis=1)
     return out
 
 
@@ -112,7 +116,7 @@ def min_mapped_matrix(
             sweep.append(j)
         else:
             out[:, j] = _min_mapped_numpy(cands, np.flatnonzero(targets), table, monotone)
-    per_batch = max(1, _CUBE_CELLS >> n)
+    per_batch = max(1, CELLS >> n)  # one column at a time from n = 20 on
     for lo in range(0, len(sweep), per_batch):
         cols = sweep[lo : lo + per_batch]  # seeded by the truth tables themselves
         sets = _sweep(np.array([tables[j] for j in cols], dtype=np.uint32), n)[:, cands]

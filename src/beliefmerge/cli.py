@@ -262,8 +262,6 @@ def _witness_payload(witness) -> object:
     for key, value in witness.items():
         if isinstance(value, (list, tuple)) and value and isinstance(value[0], Model):
             out[key] = [list(m.literals()) for m in value]
-        elif isinstance(value, Model):
-            out[key] = list(value.literals())
         else:
             out[key] = value
     return out
@@ -303,14 +301,13 @@ def _doubled_negation(inst: Instance) -> Instance:
 
 
 def _cmd_check(args) -> int:
-    kind = _parse_distance_flag(args.distance) if args.distance else DistanceKind.hamming()
-    scheme = parse_scheme(args.scheme) if args.scheme else AllPositiveWeights()
+    spec = load_instance_file(args.instance) if args.instance else None
+    kind, scheme = _resolve_config(args, spec and spec.distance, spec and spec.scheme)
     cfg = OperatorConfig(kind, scheme)
     postulate = args.postulate.lower()
 
     verdicts: list[Verdict] = []
-    if args.instance:
-        spec = load_instance_file(args.instance)
+    if spec is not None:
         inst = spec.instance()
         mu_prime = (
             parse_formula(args.mu_prime, spec.universe) if args.mu_prime else None

@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import lp
+from . import _kernels, lp
 from .distance import DistanceKind, distance_matrix
 from .errors import (
     DistanceTableError,
@@ -249,8 +249,6 @@ def _argmin_merge(matrix: np.ndarray, vectors):
 
 
 _SCREEN_SIZE = 64  # weight vectors the select screen tries before any LP
-_NEAREST_CELLS = 4096  # L1 distances sorted at once: block rows x front rows
-_PAIR_CELLS = 1 << 16  # cells compared at once by the exclude screen
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -286,27 +284,24 @@ def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
     front_rows[b] >= 0 in every coordinate and != 0, so that their
     midpoint strictly dominates d; (-1, -1) where no pair does. Entries
     are non-negative, so only rows <= 2d can take part. Python ints
-    (object) once 2d can reach 2^63; at most _PAIR_CELLS cells are
-    compared at once."""
+    (object) once 2d can reach 2^63; candidate pairs are compared in
+    chunks of at most _kernels.CELLS cells."""
     if 2 * int(front_rows.max()) >= 2**63:
         front_rows = front_rows.astype(object)
     pairs = np.full((len(asked), 2), -1, dtype=np.intp)
-    block = max(1, _PAIR_CELLS // front_rows.size)
-    for start in range(0, len(asked), block):
-        doubled = 2 * front_rows[asked[start : start + block]]
-        fits = (front_rows[None, :, :] <= doubled[:, None, :]).all(axis=2)
-        for k, (twice, fit) in enumerate(zip(doubled, fits), start):
-            members = np.flatnonzero(fit)
-            cand = front_rows[members]
-            slack = twice - cand
-            chunk = max(1, _PAIR_CELLS // max(cand.size, 1))
-            for a in range(0, len(cand), chunk):
-                gap = slack[a : a + chunk, None, :] - cand[None, :, :]
-                ok = (gap >= 0).all(axis=2) & (gap != 0).any(axis=2)
-                if ok.any():
-                    i, j = np.unravel_index(int(ok.argmax()), ok.shape)
-                    pairs[k] = members[a + i], members[j]
-                    break
+    for k, row in enumerate(asked.tolist()):
+        twice = 2 * front_rows[row]
+        members = np.flatnonzero((front_rows <= twice).all(axis=1))  # row itself fits
+        cand = front_rows[members]
+        slack = twice - cand
+        chunk = max(1, _kernels.CELLS // cand.size)
+        for a in range(0, len(cand), chunk):
+            gap = slack[a : a + chunk, None, :] - cand[None, :, :]
+            ok = (gap >= 0).all(axis=2) & (gap != 0).any(axis=2)
+            if ok.any():
+                i, j = np.unravel_index(int(ok.argmax()), ok.shape)
+                pairs[k] = members[a + i], members[j]
+                break
     return pairs
 
 
@@ -332,8 +327,7 @@ def _lp_merge(matrix: np.ndarray):
        some row scores below d, the m most violated join the active set
        and the LP runs again. A witness that passes selects every
        undecided front row tying d's score, so those rows are never
-       asked. The L1 order is sorted for a block of the next undecided
-       rows at once, _NEAREST_CELLS // |front| of them.
+       asked.
     """
     rows, _, inverse, front = distinct_front(matrix)
     on_front = np.flatnonzero(front)
@@ -349,17 +343,12 @@ def _lp_merge(matrix: np.ndarray):
     rest = np.flatnonzero(undecided)
     if len(rest):
         undecided[rest[_midpoint_pairs(front_rows, rest)[:, 0] >= 0]] = False
-    nearest = {}  # row of the current block -> all front rows, nearest to it in L1 first
     for i in np.flatnonzero(undecided).tolist():
         if not undecided[i]:
             continue
-        if i not in nearest:  # i is past the last block: order the next one
-            block = np.flatnonzero(undecided)[: max(1, _NEAREST_CELLS // len(front_rows))]
-            l1 = np.abs(front_rows[block, None, :] - front_rows[None, :, :]).sum(axis=2)
-            nearest = dict(zip(block.tolist(), np.argsort(l1, axis=1, kind="stable")))
         undecided[i] = False
         d = front_rows[i].tolist()
-        order = nearest[i]
+        order = np.argsort(np.abs(front_rows - front_rows[i]).sum(axis=1), kind="stable")
         active = np.sort(order[order != i][:m])
         while True:
             w = lp.decide(d, front_rows[active].tolist())[0]

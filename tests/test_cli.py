@@ -182,7 +182,7 @@ class TestMerge:
         assert code == 0
         payload = json.loads(out)
         assert payload["scheme"] == "all"
-        universe = Universe(json.loads(open(intro_file).read())["variables"])
+        universe = Universe(json.loads(Path(intro_file).read_text())["variables"])
         models = [model_from_literals(lits, universe) for lits in payload["models"]]
         assert len(models) == 3
         bits = [m.bits for m in models]
@@ -335,6 +335,35 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert payload["fail"] == 1
         assert payload["first_failure"]["models"]
+
+    @pytest.mark.parametrize(
+        "flags, distance, scheme",
+        [([], "drastic", "equal"), (["--distance", "hamming", "--scheme", "all"], "hamming", "all")],
+        ids=["from_file", "flags_override"],
+    )
+    def test_instance_file_configures_the_operator(
+        self, capsys, tmp_path, flags, distance, scheme
+    ):
+        """The file's distance and scheme apply as merge applies them,
+        and --distance and --scheme override them."""
+        path = tmp_path / "configured.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "variables": ["x", "y"],
+                    "constraints": "true",
+                    "profile": ["x & y", "!x"],
+                    "distance": "drastic",
+                    "scheme": "equal",
+                }
+            )
+        )
+        code, out, _ = run(
+            capsys, "check", "--postulate", "ic2", "--instance", str(path), "--json", *flags
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["distance"], payload["scheme"]) == (distance, scheme)
 
     def test_needs_some_work(self, capsys):
         code, _, err = run(capsys, "check", "--postulate", "ic1")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,11 @@ class TestNumpyKernel:
             gathered = _kernels._min_mapped_numpy(cands, targets, table, False)
             assert np.array_equal(gathered, want)
 
-    def test_chunked_path(self):
+    def test_chunked_path(self, monkeypatch):
         """Both readouts on each side of a chunk boundary and past two."""
-        for size in (_kernels._CHUNK - 1, _kernels._CHUNK + 1, _kernels._CHUNK * 2 + 5):
+        chunk = 4096
+        monkeypatch.setattr(_kernels, "CELLS", chunk * 8)  # chunk candidates x 8 targets
+        for size in (chunk - 1, chunk + 1, chunk * 2 + 5):
             cands, targets = _random_case(7, size, 8)
             for table, monotone in list(zip(_tables(), MONOTONE))[:SEARCHED]:
                 got = _kernels._min_mapped_numpy(cands, targets, table, monotone)
@@ -205,7 +209,7 @@ class TestMatrixKernel:
         ]
         tables = _tables(n)
         whole = [_kernels.min_mapped_matrix(cands, truth_tables, t, n) for t in tables]
-        monkeypatch.setattr(_kernels, "_CUBE_CELLS", 2 << n)  # two columns a batch
+        monkeypatch.setattr(_kernels, "CELLS", 2 << n)  # two columns a batch
         calls = _spy(monkeypatch, ["_min_mapped_numpy", "_sweep"])
         for table, expected in zip(tables, whole):
             got = _kernels.min_mapped_matrix(cands, truth_tables, table, n)
@@ -220,7 +224,7 @@ class TestMatrixKernel:
         """Every column swept, one or two columns a batch: the column-major
         matrix matches brute-force popcount for Hamming and the ZIGZAG table."""
         monkeypatch.setattr(_kernels, "_SWEEP_OVERHEAD", -(1 << n))
-        monkeypatch.setattr(_kernels, "_CUBE_CELLS", per_batch << n)
+        monkeypatch.setattr(_kernels, "CELLS", per_batch << n)
         rng = np.random.default_rng(20 + n)
         cands = rng.integers(0, 1 << n, 600).astype(np.int64)
         truth_tables = [
@@ -239,12 +243,14 @@ class TestMatrixKernel:
 class TestPairwiseReadouts:
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_one_monotone_flag_per_matrix(self, extra, monkeypatch):
-        """Every column pairwise, across the chunk boundary: the matrix
-        tests monotonicity once and hands the same flag to each column."""
+        """Every column pairwise, the one-target column across its chunk
+        boundary and the others in many chunks: the matrix tests
+        monotonicity once and hands the same flag to each column."""
         n = 8
         monkeypatch.setattr(_kernels, "_SWEEP_OVERHEAD", 1 << 40)
+        monkeypatch.setattr(_kernels, "CELLS", 4096)
         rng = np.random.default_rng(extra + 2)
-        cands = rng.integers(0, 1 << n, _kernels._CHUNK + extra).astype(np.int64)
+        cands = rng.integers(0, 1 << n, 4096 + extra).astype(np.int64)
         truth_tables = [_truth_table(rng.choice(1 << n, c, replace=False), n) for c in (1, 5, 40)]
         flags = []
         pairwise = _kernels._min_mapped_numpy
@@ -275,6 +281,29 @@ class TestPairwiseReadouts:
             got = _kernels.min_mapped_matrix(cands, [_truth_table(targets, n)], table, n)
             assert np.array_equal(got[:, 0], _reference(cands, targets, table))
         assert flags == list(MONOTONE[:SEARCHED])
+
+
+class TestCellBudget:
+    def test_pairwise_block_stays_within_the_budget(self):
+        """20 candidates against one 2^19-model entry at n = 20 take the
+        pairwise path in blocks of CELLS // 2^19 candidates: a single
+        20 x 2^19 int64 block would be 84 MB."""
+        n = 20
+        rng = np.random.default_rng(9)
+        cands = rng.integers(0, 1 << n, 20).astype(np.int64)
+        targets = np.sort(rng.choice(1 << n, 1 << 19, replace=False)).astype(np.int64)
+        assert len(cands) * len(targets) < n * ((1 << n) + _kernels._SWEEP_OVERHEAD)
+        truth = _truth_table(targets, n)
+        table = np.arange(n + 1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = _kernels.min_mapped_matrix(cands, [truth], table, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        want = [int(np.bitwise_count(c ^ targets).min()) for c in cands.tolist()]
+        assert got[:, 0].tolist() == want
 
 
 class TestDispatch:

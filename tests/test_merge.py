@@ -34,7 +34,7 @@ from beliefmerge.errors import (
 from beliefmerge.formulae import TRUE
 from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
-from beliefmerge import merge as merge_module
+from beliefmerge import _kernels, merge as merge_module
 from beliefmerge.merge import (
     _argmin_merge,
     _lp_merge,
@@ -486,7 +486,7 @@ class TestRowGeneration:
         matrix = np.array([[3, 0], [1, 1], [0, 3], [2, 2]], dtype=np.int64)
         self._check(matrix)
 
-    @pytest.mark.parametrize("cells", [1, 40, merge_module._NEAREST_CELLS])
+    @pytest.mark.parametrize("cells", [1, 40, 4096])
     @pytest.mark.parametrize(
         "matrix",
         [
@@ -500,8 +500,9 @@ class TestRowGeneration:
         """Each front row's first LP holds the m front rows nearest to it
         in L1 (ties in front order), listed in front order: every other
         row on a front of at most m + 1 rows. On these fronts the screens
-        leave at least two rows to the LP."""
-        monkeypatch.setattr(merge_module, "_NEAREST_CELLS", cells)
+        leave at least two rows to the LP. The cell budget that chunks
+        the screens changes none of it."""
+        monkeypatch.setattr(_kernels, "CELLS", cells)
         asked = {}
         decide = merge_module.lp.decide
 
@@ -544,7 +545,7 @@ class TestScreens:
         front = _antichain(Xoshiro256StarStar(1), 4, 6, 12, 40)
         asked = np.arange(len(front))
         want = _midpoint_pairs(front, asked)
-        monkeypatch.setattr(merge_module, "_PAIR_CELLS", 1)
+        monkeypatch.setattr(_kernels, "CELLS", 1)
         assert np.array_equal(_midpoint_pairs(front, asked), want)
         assert (want[:, 0] >= 0).any()
 
