@@ -1,19 +1,27 @@
 """Propositional syntax over a fixed, ordered variable universe.
 
 Formulae are immutable ASTs; a model is one total truth assignment,
-packed as a bitmask keyed by universe order. Everything here works by
-exhaustive enumeration over the 2^n assignments, which is the intended
-contract at desk scale: ``truth_table`` refuses a universe of more than
-``MAX_VARS`` variables before it allocates anything. It evaluates a
-formula without recursion over packed 64-world words, one pass over
-2^n / 64 words per AST node; the parser and ``formula_to_text`` use
-explicit stacks too, so no step recurses once per nesting level.
+packed as a bitmask keyed by universe order. ``And`` and ``Or`` are
+n-ary: ``And(a, b, c)`` holds its operands in one tuple, the parser
+builds one node per unparenthesized chain, and a parenthesized group
+stays a node of its own, so ``parse_formula(formula_to_text(f)) == f``.
+Everything here works by exhaustive enumeration over the 2^n
+assignments, which is the intended contract at desk scale:
+``truth_table`` refuses a universe of more than ``MAX_VARS`` variables
+before it allocates anything. It evaluates a formula without recursion
+over packed 64-world words, one step per AST node, where the literals
+of a chain make one cube column together; the parser and
+``formula_to_text`` use explicit stacks too, so no step recurses once
+per nesting level. Dataclass ``==``, ``hash`` and ``repr`` still
+recurse once per nesting level, but not once per chain operand.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -120,16 +128,25 @@ class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Chain(Formula):
+    """An associative connective over two or more operands."""
+
+    __slots__ = ()
+
+    def __init__(self, *operands: Formula):
+        if len(operands) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two operands")
+        object.__setattr__(self, "operands", operands)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class And(_Chain):
+    operands: tuple[Formula, ...]
+
+
+@dataclass(frozen=True, init=False)
+class Or(_Chain):
+    operands: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
@@ -149,81 +166,176 @@ FALSE = Const(False)
 
 
 def conjunction(parts: Iterable[Formula]) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    parts = tuple(parts)
+    if len(parts) < 2:
+        return parts[0] if parts else TRUE
+    return And(*parts)
 
 
 def disjunction(parts: Iterable[Formula]) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    parts = tuple(parts)
+    if len(parts) < 2:
+        return parts[0] if parts else FALSE
+    return Or(*parts)
 
 
 # Column words of the variables on bits 0..5 of a world: bit k of the word
 # is world k's value, so bit b of k selects the pattern.
-_LOW_WORDS = np.array(
-    [sum(1 << k for k in range(64) if (k >> b) & 1) for b in range(6)], dtype="<u8"
-)
+_LOW_INTS = tuple(sum(1 << k for k in range(64) if (k >> b) & 1) for b in range(6))
+_LOW_WORDS = np.array(_LOW_INTS, dtype="<u8")
 _ONES = (1 << 64) - 1
-_FOLD = {
-    And: np.bitwise_and,
-    Or: np.bitwise_or,
-    Implies: lambda a, b: ~a | b,
-    Iff: lambda a, b: ~(a ^ b),
-}
+# A column is a uint64 array of 2^n / 64 words, or one Python int when
+# n <= 6: every step below works on either through &, |, ^ and ~ (an
+# int's bits above 63 are ignored), so a tiny formula makes no numpy call
+# before its result.
+_FOLD = {Implies: lambda a, b: ~a | b, Iff: lambda a, b: ~(a ^ b)}
+_CHAIN_FOLD = {And: (operator.and_, operator.iand), Or: (operator.or_, operator.ior)}
 
 
-def _variable_column(bit: int, words: int) -> np.ndarray:
-    """Packed column of the variable on bit `bit` of a world."""
+def _variable_column(bit: int, words: int, positive: bool):
+    """Column of the variable on bit `bit` of a world, or of its negation:
+    a one-literal cube, built with fewer steps than _cube_column takes."""
+    if words == 1:
+        return _LOW_INTS[bit] if positive else ~_LOW_INTS[bit]
     if bit < 6:
-        return _LOW_WORDS[bit : bit + 1].repeat(words)
-    column = np.zeros(words, dtype="<u8")
-    column.reshape(words >> (bit - 5), 2, 1 << (bit - 6))[:, 1] = _ONES
+        column = _LOW_WORDS[bit : bit + 1].repeat(words)
+    else:
+        column = np.zeros(words, dtype="<u8")
+        column.reshape(words >> (bit - 5), 2, 1 << (bit - 6))[:, 1] = _ONES
+    if not positive:
+        np.invert(column, out=column)
     return column
+
+
+@cache
+def _pattern(mask: int, value: int) -> int:
+    """The word of the 64 worlds k with k & mask == value (bits 0..5)."""
+    word = _ONES
+    for b in range(6):
+        if mask >> b & 1:
+            word &= _LOW_INTS[b] if value >> b & 1 else ~_LOW_INTS[b]
+    return word
+
+
+def _filled(words: int, word: int):
+    """A fresh column of `words` copies of `word`."""
+    if words == 1:
+        return word
+    if not word:
+        return np.zeros(words, dtype="<u8")
+    column = np.empty(words, dtype="<u8")
+    column.fill(word)
+    return column
+
+
+def _cube_column(mask: int | None, value: int, background: int, high: int):
+    """Column over 2^high words: the complement of background on
+    the worlds x with x & mask == value, background elsewhere. Bits 0..5
+    of mask pick the in-word pattern, the bits above it the words."""
+    if mask is None:
+        return _filled(1 << high, background)
+    word = _pattern(mask & 63, value & 63) ^ background
+    fixed, at = mask >> 6, value >> 6
+    if not fixed:
+        return _filled(1 << high, word)
+    column = _filled(1 << high, background)
+    if fixed == (1 << high) - 1:
+        column[at] = word
+        return column
+    shape, index = [], []  # one axis per run of fixed or free word bits
+    b = 0
+    while b < high:
+        x = fixed >> b
+        if x & 1:
+            run = (x ^ (x + 1)).bit_length() - 1
+            index.append(at >> b & ((1 << run) - 1))
+        else:
+            run = (x & -x).bit_length() - 1 if x else high - b
+            index.append(slice(None))
+        shape.append(1 << run)
+        b += run
+    column.reshape(shape[::-1])[tuple(index[::-1])] = word
+    return column
+
+
+def _cube_step(g: _Chain, others: int, universe: Universe) -> tuple:
+    """The program step of an And or Or chain with two or more literal
+    operands: (its connective, how many values it takes off the stack,
+    its cube). The cube is _cube_column's (mask, value, background) of the
+    worlds whose bits match every literal (every negated literal for an
+    Or, whose clause is the complement of that cube, on background all
+    ones); mask is None when two literals contradict each other."""
+    n = universe.n
+    index = universe._index
+    positive = negative = 0  # bits of the variables that occur bare, negated
+    try:
+        for op in g.operands:
+            if type(op) is Var:
+                positive |= 1 << (n - 1 - index[op.name])
+            elif type(op) is Not and type(op.operand) is Var:
+                negative |= 1 << (n - 1 - index[op.operand.name])
+    except KeyError as exc:
+        raise UnknownVariableError(exc.args[0]) from None
+    kind = type(g)
+    if positive & negative:  # x and !x
+        cube = None, 0, _ONES if kind is Or else 0
+    elif kind is Or:
+        cube = positive | negative, negative, _ONES
+    else:
+        cube = positive | negative, positive, 0
+    return kind, others, cube
 
 
 def truth_table(f: Formula, universe: Universe) -> np.ndarray:
     """Boolean column of f over all 2^n assignments, in bitmask order.
 
     The formula is evaluated once, without recursion, over packed words:
-    world x is bit x % 64 of little-endian uint64 word x // 64. An
-    explicit stack flattens the AST into a postfix program whose leaves
-    are constants and literals; each literal's column is built at most
-    once per call, and every connective folds the top of a value stack.
-    One unpackbits turns the result into a fresh, writable bool array of
-    length 2^n.
+    world x is bit x % 64 of little-endian uint64 word x // 64, and a
+    universe of at most 6 variables has one word, held as a Python int.
+    An explicit stack flattens the AST into a postfix program of one
+    step per node, where an And or Or chain is one step: two or more
+    literal operands become one cube (or clause) column, built from a
+    Python-int mask and value with a few numpy calls however many
+    literals there are, so a full term sets one word. Every other
+    literal's column is built at most once per call, and a chain folds
+    its other operands into a fresh column in place. One unpackbits
+    turns the result into a fresh, writable bool array of length 2^n.
     """
     n = universe.n
     if n > MAX_VARS:
         raise EnumerationLimitError(
             f"universe has {n} variables, enumeration guard is {MAX_VARS}"
         )
-    program = []  # pre-order, right child first: reversed, it is postfix
+    program = []  # pre-order, last operand first: reversed, it is postfix
     todo = [f]
     while todo:
         g = todo.pop()
         kind = type(g)
-        if kind in _FOLD:
-            todo += (g.left, g.right)
-        elif kind is Not:
+        if kind is Not:
             if type(g.operand) is not Var:
                 todo.append(g.operand)
+        elif kind in _FOLD:
+            todo += (g.left, g.right)
+        elif kind is And or kind is Or:  # one step: a cube step or g itself
+            operands = g.operands
+            others = []
+            for h in operands:
+                t = type(h)
+                if t is not Var and (t is not Not or type(h.operand) is not Var):
+                    others.append(h)
+            if len(operands) - len(others) < 2:
+                todo += operands
+            else:
+                todo += others
+                g = _cube_step(g, len(others), universe)
         elif kind is not Var and kind is not Const:
             raise TypeError(f"not a formula node: {g!r}")
         program.append(g)
 
-    words = 1 << max(n - 6, 0)
+    high = max(n - 6, 0)
+    words = 1 << high
     columns: tuple[dict, dict] = ({}, {})  # literal columns: negative, positive
-    stack: list[np.ndarray] = []
+    stack: list = []
     for g in reversed(program):
         kind = type(g)
         if kind is Var or (kind is Not and type(g.operand) is Var):
@@ -231,19 +343,39 @@ def truth_table(f: Formula, universe: Universe) -> np.ndarray:
             name = g.name if positive else g.operand.name
             column = columns[positive].get(name)
             if column is None:
-                column = _variable_column(n - 1 - universe.index(name), words)
-                if not positive:
-                    np.invert(column, out=column)
-                columns[positive][name] = column
+                bit = n - 1 - universe.index(name)
+                column = columns[positive][name] = _variable_column(bit, words, positive)
             stack.append(column)
-        elif kind is Not:
-            stack[-1] = ~stack[-1]
-        elif kind is Const:
-            stack.append(np.full(words, _ONES if g.value else 0, dtype="<u8"))
-        else:
+        elif kind in _FOLD:
             right = stack.pop()
             stack[-1] = _FOLD[kind](stack[-1], right)
+        elif kind is And or kind is Or:  # the first fold makes a fresh column
+            fold, fold_in_place = _CHAIN_FOLD[kind]
+            right = stack.pop()
+            k = len(g.operands)
+            if k == 2:
+                stack[-1] = fold(stack[-1], right)
+            else:
+                start = len(stack) - k + 1
+                acc = fold(stack[start], right)
+                for other in stack[start + 1 :]:
+                    acc = fold_in_place(acc, other)
+                stack[start:] = (acc,)
+        elif kind is tuple:  # a chain with a cube
+            chain, values, cube = g
+            fold_in_place = _CHAIN_FOLD[chain][1]
+            acc = _cube_column(*cube, high)
+            start = len(stack) - values
+            for other in stack[start:]:
+                acc = fold_in_place(acc, other)
+            stack[start:] = (acc,)
+        elif kind is Not:
+            stack[-1] = ~stack[-1]
+        else:
+            stack.append(_filled(words, _ONES if g.value else 0))
     (packed,) = stack
+    if words == 1:
+        packed = np.array([packed & _ONES], dtype="<u8")
     bits = np.unpackbits(packed.view(np.uint8), bitorder="little")
     return bits[: 1 << n].view(bool)
 
@@ -305,31 +437,39 @@ def formula_from_models(models: Iterable[Model], universe: Universe) -> Formula:
 # formula := iff
 # iff     := imp ("<->" imp)*        right-associative
 # imp     := or ("->" or)*           right-associative
-# or      := and ("|" and)*
-# and     := unary ("&" unary)*
+# or      := and ("|" and)*          one n-ary Or per chain
+# and     := unary ("&" unary)*      one n-ary And per chain
 # unary   := "!" unary | "(" formula ")" | "true" | "false" | ident
 #
 # The parser is one operator-precedence loop over an explicit stack; the
 # printer walks the AST with one too, so nesting depth costs no recursion.
+# A parenthesized group stays its own node: "a & (b & c)" is
+# And(a, And(b, c)), and the printer parenthesizes an operand of the same
+# connective, so parse(print(f)) == f.
 
-_TOKEN = r"<->|->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|[!&|()]|<->|->"
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S)")  # \S: one bad character
 _GOOD_RE = re.compile(_TOKEN)
-# binary token -> (node, its precedence, the lowest pending precedence it
-# reduces first): & and | associate to the left, -> and <-> to the right
-_BINARY = {"&": (And, 4, 4), "|": (Or, 3, 3), "->": (Implies, 2, 3), "<->": (Iff, 1, 2)}
-_PREFIX = {"(": (0, None), "!": (5, Not)}  # pending precedence and node
+# binary token -> (node, its precedence, whether it extends an open chain
+# of its own node): & and | gather a chain, -> and <-> nest to the right
+_BINARY = {"&": (And, 4, True), "|": (Or, 3, True), "->": (Implies, 2, False), "<->": (Iff, 1, False)}
+# Pending entries are (precedence, node, index of its first operand). A
+# "(" and a "!" have precedence 0, so no reduction passes them; a "!" is
+# applied as soon as its operand is complete.
+_GROUP = (0, None, 0)
+_NEGATION = (0, Not, 0)
 
 
 def _reduce(pending: list, operands: list, floor: int) -> None:
-    """Apply the pending operators of precedence floor or more."""
+    """Build the pending connectives of precedence floor or more, each
+    over the operands from its first one on."""
     while pending[-1][0] >= floor:
-        node = pending.pop()[1]
-        if node is Not:
-            operands[-1] = Not(operands[-1])
-        else:
+        _, node, start = pending.pop()
+        if start == len(operands) - 2:
             right = operands.pop()
             operands[-1] = node(operands[-1], right)
+        else:
+            operands[start:] = (node(*operands[start:]),)
 
 
 def _error(text: str, tokens: list[str], k: int, message: str | None) -> Exception:
@@ -347,15 +487,19 @@ def _error(text: str, tokens: list[str], k: int, message: str | None) -> Excepti
 def parse_formula(text: str, universe: Universe) -> Formula:
     tokens = _TOKEN_RE.findall(text)
     leaves: dict[str, Formula] = {"true": TRUE, "false": FALSE}  # one Var per name
+    negated: dict[str, Formula] = {}  # one Not per "!name"
     operands: list[Formula] = []
-    pending = [_PREFIX["("]]  # the whole input is one group
+    pending = [_GROUP]  # the whole input is one group
     depth = 0
     operand = True  # an operand comes next, else an operator or the end
     for k, tok in enumerate(tokens):
         if operand:
-            if tok in _PREFIX:
-                pending.append(_PREFIX[tok])
-                depth += tok == "("
+            if tok == "!":
+                pending.append(_NEGATION)
+                continue
+            if tok == "(":
+                pending.append(_GROUP)
+                depth += 1
                 continue
             f = leaves.get(tok)
             if f is None:
@@ -364,17 +508,31 @@ def parse_formula(text: str, universe: Universe) -> Formula:
                 if tok not in universe._index:  # closed universe
                     raise _error(text, tokens, k, None)
                 f = leaves[tok] = Var(tok)
+            if pending[-1] is _NEGATION:
+                pending.pop()
+                g = negated.get(tok)
+                if g is None:
+                    g = negated[tok] = Not(f)
+                f = g
+                while pending[-1] is _NEGATION:
+                    pending.pop()
+                    f = Not(f)
             operands.append(f)
             operand = False
         elif tok in _BINARY:
-            node, prec, floor = _BINARY[tok]
-            _reduce(pending, operands, floor)
-            pending.append((prec, node))
+            node, prec, chain = _BINARY[tok]
+            if pending[-1][0] > prec:
+                _reduce(pending, operands, prec + 1)
+            if not chain or pending[-1][1] is not node:
+                pending.append((prec, node, len(operands) - 1))
             operand = True
         elif tok == ")" and depth:
             _reduce(pending, operands, 1)
             pending.pop()
             depth -= 1
+            while pending[-1] is _NEGATION:
+                pending.pop()
+                operands[-1] = Not(operands[-1])
         else:
             raise _error(text, tokens, k, "expected ')'" if depth else f"unexpected token {tok!r}")
     if operand or depth:
@@ -384,12 +542,12 @@ def parse_formula(text: str, universe: Universe) -> Formula:
     return operands[0]
 
 
-# node -> (separator, its precedence, the left and the right operand's)
+# node -> (separator, its precedence, the first operand's and the others')
 _PRINT = {
     Iff: (" <-> ", 1, 2, 1),
     Implies: (" -> ", 2, 3, 2),
-    Or: (" | ", 3, 3, 4),
-    And: (" & ", 4, 4, 5),
+    Or: (" | ", 3, 4, 4),
+    And: (" & ", 4, 5, 5),
 }
 
 
@@ -412,11 +570,14 @@ def formula_to_text(f: Formula) -> str:
         elif kind is Const:
             out.append("true" if g.value else "false")
         elif kind in _PRINT:
-            sep, prec, left, right = _PRINT[kind]
+            sep, prec, first, other = _PRINT[kind]
             if prec < min_prec:
                 out.append("(")
                 todo.append(")")
-            todo += ((g.right, right), sep, (g.left, left))
+            operands = g.operands if kind is And or kind is Or else (g.left, g.right)
+            for h in reversed(operands[1:]):
+                todo += ((h, other), sep)
+            todo.append((operands[0], first))
         else:
             raise TypeError(f"not a formula node: {g!r}")
     return "".join(out)

@@ -38,10 +38,13 @@ class InstanceFile:
     scheme: WeightScheme | None
 
     def instance(self) -> Instance:
-        if self.profile is not None:
-            return Instance(self.universe, self.constraints, self.profile)
-        flat = [f for s in self.sources for f in s]
-        return Instance(self.universe, self.constraints, flat)
+        """The file's instance; a sources file has none, since only merge
+        reads sources (one summed coordinate per source)."""
+        if self.profile is None:
+            raise InstanceFormatError(
+                "this instance file has sources, not a profile: only merge reads sources"
+            )
+        return Instance(self.universe, self.constraints, self.profile)
 
 
 def parse_distance_spec(spec) -> DistanceKind:
@@ -74,6 +77,8 @@ def load_instance_file(path: str) -> InstanceFile:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply to read") from None
     return _from_dict(raw, path)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import count
+from itertools import count, islice
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -229,20 +229,24 @@ def minimal_for_some_positive(
     return merge_scheme(inst, AllPositiveWeights(), kind).witnesses.get(i)
 
 
-def _scores(matrix: np.ndarray, vectors) -> np.ndarray:
+def _scores(matrix: np.ndarray, vectors, top: int | None = None) -> np.ndarray:
     """Exact vectors @ matrix.T for non-negative entries and weights, one
     row per vector: int64 while no score can reach 2^63, Python ints
-    (object) above."""
-    bound = max(int(matrix.max()), 1) * max(map(sum, vectors))
-    dtype = np.int64 if bound < 2**63 else object
-    return np.array(vectors, dtype=dtype) @ matrix.astype(dtype, copy=False).T
+    (object) above. vectors are tuples, or an int64 array whose largest
+    row sum is top."""
+    if top is None:
+        top = max(map(sum, vectors))
+    if max(int(matrix.max()), 1) * top < 2**63:
+        return np.asarray(vectors, dtype=np.int64) @ matrix.astype(np.int64, copy=False).T
+    return np.array(vectors, dtype=object) @ matrix.astype(object).T
 
 
-def _argmin_merge(matrix: np.ndarray, vectors):
+def _argmin_merge(matrix: np.ndarray, vectors, top: int | None = None):
     """Rows minimal under at least one integer weight vector, each with
     the first vector that selects it: (rows, vectors, witness_index),
-    row rows[j] with witness vectors[witness_index[j]]."""
-    scores = _scores(matrix, vectors)
+    row rows[j] with witness vectors[witness_index[j]]. vectors and top
+    are as _scores takes them."""
+    scores = _scores(matrix, vectors, top)
     hit = scores == scores.min(axis=1, keepdims=True)
     rows = np.flatnonzero(hit.any(axis=0))
     return rows, vectors, hit[:, rows].argmax(axis=0)
@@ -262,20 +266,24 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-@cache
-def _screen_vectors(m: int) -> tuple[tuple[int, ...], ...]:
-    """The first _SCREEN_SIZE positive integer m-vectors with gcd 1, by
-    increasing sum and lexicographically within a sum; (1,) is the only
-    one for m = 1."""
+def _gcd_one_vectors(m: int) -> Iterator[tuple[int, ...]]:
+    """The positive integer m-vectors with gcd 1, by increasing sum and
+    lexicographically within a sum; (1,) is the only one for m = 1."""
     if m == 1:
-        return ((1,),)
-    vectors = []
+        yield (1,)
+        return
     for total in count(m):
         for v in _compositions(total, m):
             if gcd(*v) == 1:
-                vectors.append(v)
-                if len(vectors) == _SCREEN_SIZE:
-                    return tuple(vectors)
+                yield v
+
+
+@cache
+def _screen_vectors(m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, int]:
+    """The first _SCREEN_SIZE of _gcd_one_vectors(m): as tuples, as a
+    read-only int64 array, and their largest sum."""
+    vectors = tuple(islice(_gcd_one_vectors(m), _SCREEN_SIZE))
+    return vectors, _read_only(np.array(vectors, dtype=np.int64)), sum(vectors[-1])
 
 
 def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
@@ -333,7 +341,8 @@ def _lp_merge(matrix: np.ndarray):
     on_front = np.flatnonzero(front)
     front_rows = rows[on_front]
     m = front_rows.shape[1]
-    hit, vectors, hit_index = _argmin_merge(front_rows, _screen_vectors(m))
+    vectors, screen, top = _screen_vectors(m)
+    hit, _, hit_index = _argmin_merge(front_rows, screen, top)
     used, hit_slot = np.unique(hit_index, return_inverse=True)
     weights = [vectors[j] for j in used.tolist()]
     slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness

@@ -68,10 +68,10 @@ def evaluate(f: Formula, model: Model) -> bool:
             return model.value(name)
         case Not(g):
             return not evaluate(g, model)
-        case And(a, b):
-            return evaluate(a, model) and evaluate(b, model)
-        case Or(a, b):
-            return evaluate(a, model) or evaluate(b, model)
+        case And(operands):
+            return all(evaluate(g, model) for g in operands)
+        case Or(operands):
+            return any(evaluate(g, model) for g in operands)
         case Implies(a, b):
             return (not evaluate(a, model)) or evaluate(b, model)
         case Iff(a, b):
@@ -94,10 +94,10 @@ def recursive_truth_table(f: Formula, universe: Universe) -> np.ndarray:
                 return ((idx >> (n - 1 - j)) & 1).astype(bool)
             case Not(h):
                 return ~rec(h)
-            case And(a, b):
-                return rec(a) & rec(b)
-            case Or(a, b):
-                return rec(a) | rec(b)
+            case And(operands):
+                return np.logical_and.reduce([rec(g) for g in operands])
+            case Or(operands):
+                return np.logical_or.reduce([rec(g) for g in operands])
             case Implies(a, b):
                 return ~rec(a) | rec(b)
             case Iff(a, b):
@@ -582,18 +582,18 @@ class _RecursiveParser:
         return out
 
     def disj(self) -> Formula:
-        f = self.conj()
+        items = [self.conj()]
         while self.peek() == "|":
             self.advance()
-            f = Or(f, self.conj())
-        return f
+            items.append(self.conj())
+        return Or(*items) if len(items) > 1 else items[0]
 
     def conj(self) -> Formula:
-        f = self.unary()
+        items = [self.unary()]
         while self.peek() == "&":
             self.advance()
-            f = And(f, self.unary())
-        return f
+            items.append(self.unary())
+        return And(*items) if len(items) > 1 else items[0]
 
     def unary(self) -> Formula:
         tok = self.peek()
@@ -645,10 +645,10 @@ def recursive_formula_to_text(f: Formula) -> str:
                 s = f"{rec(a, 2)} <-> {rec(b, 1)}"
             case Implies(a, b):
                 s = f"{rec(a, 3)} -> {rec(b, 2)}"
-            case Or(a, b):
-                s = f"{rec(a, 3)} | {rec(b, 4)}"
-            case And(a, b):
-                s = f"{rec(a, 4)} & {rec(b, 5)}"
+            case Or(operands):
+                s = " | ".join(rec(h, 4) for h in operands)
+            case And(operands):
+                s = " & ".join(rec(h, 5) for h in operands)
             case _:
                 raise TypeError(f"not a formula node: {g!r}")
         return f"({s})" if _PREC[type(g)] < min_prec else s

@@ -444,6 +444,35 @@ class TestExitCodes:
         assert err.strip()
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command", [["merge"], ["check", "--postulate", "ic0"], ["maxcons"]]
+    )
+    def test_deeply_nested_json_is_blamed_on_the_file(self, capsys, tmp_path, command):
+        """json.load overflows on arrays nested 1100 deep: the message
+        names the file and does not blame a formula."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1100 + "]" * 1100)
+        code, out, err = run(capsys, *command, "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"beliefmerge: {path}")
+        assert "formula" not in err.replace(str(path), "")
+
+    @pytest.mark.parametrize("command", ["check", "maxcons", "plot"])
+    def test_sources_file_is_read_only_by_merge(self, capsys, tmp_path, command):
+        """check, maxcons and plot refuse a sources file rather than
+        flatten its groups into one profile entry per formula."""
+        path = tmp_path / "sources.json"
+        path.write_text(
+            '{"variables": ["a"], "constraints": "a", "sources": [["a"], ["!a"]]}'
+        )
+        extra = {"check": ["--postulate", "ic0"], "maxcons": [],
+                 "plot": ["--out", str(tmp_path / "plot.svg")]}[command]
+        code, out, err = run(capsys, command, *extra, "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert "only merge reads sources" in err
+        code, out, err = run(capsys, "merge", "--instance", str(path))
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("command", ["merge", "realize", "plot", "maxcons"])
     def test_unwritable_out_is_two(self, capsys, intro_file, tmp_path, command):
         # maxcons writes onto a directory, the others into a missing one

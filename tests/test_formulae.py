@@ -125,8 +125,8 @@ def _formulas(universe):
         ),
         lambda children: st.one_of(
             children.map(Not),
-            st.tuples(children, children).map(lambda ab: And(*ab)),
-            st.tuples(children, children).map(lambda ab: Or(*ab)),
+            st.lists(children, min_size=2, max_size=4).map(lambda ops: And(*ops)),
+            st.lists(children, min_size=2, max_size=4).map(lambda ops: Or(*ops)),
             st.tuples(children, children).map(lambda ab: Implies(*ab)),
             st.tuples(children, children).map(lambda ab: Iff(*ab)),
         ),
@@ -176,6 +176,10 @@ def _same_tree(f, g) -> bool:
                 return False
         elif isinstance(a, Not):
             todo.append((a.operand, b.operand))
+        elif isinstance(a, (And, Or)):
+            if len(a.operands) != len(b.operands):
+                return False
+            todo += zip(a.operands, b.operands)
         else:
             todo += [(a.left, b.left), (a.right, b.right)]
     return True
@@ -209,7 +213,31 @@ class TestAgainstRecursiveParser:
 
     def test_literals_are_shared_within_a_parse(self):
         f = parse_formula("x & y | x", self.U)
-        assert f.left.left is f.right
+        assert f.operands[0].operands[0] is f.operands[1]
+        g = parse_formula("!x & y | !x | !!x", self.U)
+        term, negated, twice = g.operands
+        assert term.operands[0] is negated is twice.operand
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("x & y & z", And(Var("x"), Var("y"), Var("z"))),
+            ("x & (y & z)", And(Var("x"), And(Var("y"), Var("z")))),
+            ("(x & y) & z", And(And(Var("x"), Var("y")), Var("z"))),
+            ("x | y & z | !x", Or(Var("x"), And(Var("y"), Var("z")), Not(Var("x")))),
+            ("x -> y & z & x", Implies(Var("x"), And(Var("y"), Var("z"), Var("x")))),
+        ],
+    )
+    def test_one_node_per_chain_and_groups_stay_nodes(self, text, want):
+        f = parse_formula(text, self.U)
+        assert f == want == recursive_parse(text, self.U)
+        assert formula_to_text(f) == text
+
+    def test_chains_need_two_operands(self):
+        for node in (And, Or):
+            with pytest.raises(ValueError):
+                node(Var("x"))
+            assert not hasattr(node(Var("x"), Var("y")), "left")
 
 
 class TestDeepFormulas:
@@ -304,7 +332,109 @@ def _random_formula(rng, names, depth):
     kind = rng.choice([Not, And, Or, Implies, Iff])
     if kind is Not:
         return Not(_random_formula(rng, names, depth - 1))
-    return kind(_random_formula(rng, names, depth - 1), _random_formula(rng, names, depth - 1))
+    arity = rng.randint(2, 5) if kind in (And, Or) else 2
+    return kind(*(_random_formula(rng, names, depth - 1) for _ in range(arity)))
+
+
+def _chains(universe):
+    """Formulas rich in And and Or chains of 2-6 operands: literals
+    (repeated, and beside their own negation), constants, and nested
+    chains of either connective."""
+    names = st.sampled_from(universe.variables)
+    literal = st.one_of(names.map(Var), names.map(lambda v: Not(Var(v))))
+    leaf = st.one_of(literal, literal, st.booleans().map(Const))
+
+    def chains(children):
+        operands = st.lists(st.one_of(leaf, children), min_size=2, max_size=6)
+        contradiction = names.map(lambda v: [Var(v), Not(Var(v))])
+        with_pair = st.tuples(operands, contradiction).map(lambda p: p[0] + p[1])
+        return st.one_of(
+            operands.map(lambda ops: And(*ops)),
+            operands.map(lambda ops: Or(*ops)),
+            with_pair.map(lambda ops: And(*ops)),
+            with_pair.map(lambda ops: Or(*ops)),
+            operands.map(lambda ops: And(*(ops + ops[:1]))),  # a repeated operand
+            children.map(Not),
+            st.tuples(children, children).map(lambda ab: Iff(*ab)),
+        )
+
+    return st.recursive(leaf, chains, max_leaves=16)
+
+
+class TestChainTables:
+    """Chains become one cube or clause column plus in-place folds."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_recursive_oracle(self, n, data):
+        # n <= 6 is one word; above it the cube's high bits pick words
+        u = Universe([f"v{i}" for i in range(n)])
+        f = data.draw(_chains(u))
+        assert np.array_equal(truth_table(f, u), recursive_truth_table(f, u)), formula_to_text(f)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_full_term_has_one_model(self, n):
+        u = Universe([f"v{i}" for i in range(n)])
+        rng = random.Random(n)
+        bits = rng.getrandbits(n)
+        term = formula_from_models([Model(u, bits)], u)
+        assert isinstance(term, And) and len(term.operands) == n
+        assert np.flatnonzero(truth_table(term, u)).tolist() == [bits]
+        clause = Or(*(Not(op) if isinstance(op, Var) else op.operand for op in term.operands))
+        assert np.flatnonzero(~truth_table(clause, u)).tolist() == [bits]
+
+    def test_contradictions_and_tautologies(self):
+        u = Universe([f"v{i}" for i in range(9)])
+        x, y = Var("v2"), Var("v8")
+        assert not truth_table(And(x, y, Not(x)), u).any()
+        assert truth_table(Or(Not(y), x, y), u).all()
+        assert not truth_table(And(x, Const(False), y), u).any()
+        assert truth_table(Or(x, Const(True), y), u).all()
+
+
+class TestWideFormulas:
+    """Chains are flat: their width costs no recursion anywhere."""
+
+    WIDTH = 5000
+
+    def test_wide_chain_parses_prints_compares_and_hashes(self):
+        u = Universe([f"v{i}" for i in range(12)])
+        text = " & ".join(f"!v{i % 12}" if i % 3 else f"v{i % 12}" for i in range(self.WIDTH))
+        f = parse_formula(text, u)
+        assert isinstance(f, And) and len(f.operands) == self.WIDTH
+        assert formula_to_text(f) == text
+        g = parse_formula(text, u)
+        assert f == g and hash(f) == hash(g)
+        assert np.array_equal(truth_table(f, u), recursive_truth_table(f, u))
+
+    def test_formula_from_many_models(self):
+        u = Universe([f"v{i}" for i in range(12)])
+        chosen = [Model(u, b) for b in random.Random(3).sample(range(1 << 12), 3000)]
+        f = formula_from_models(chosen, u)
+        assert isinstance(f, Or) and len(f.operands) == 3000
+        g = parse_formula(formula_to_text(f), u)
+        assert f == g and hash(f) == hash(g)
+        assert set(models_of(g, u)) == set(chosen)
+
+
+def test_lp_front_mu_is_one_disjunction_of_full_terms():
+    """perfbench's lp_front mu (seed 1) is 15-20 full terms: each parses
+    to one Or of n-literal And nodes, so its table is one cube per term."""
+    from beliefmerge import realize
+    from beliefmerge.instancefile import instance_payload
+    from oracles import perfbench_inputs
+
+    inputs = perfbench_inputs()
+    for slot in range(len(inputs.LP_SLOTS)):
+        vectors, block = inputs.front_vectors(1, slot)
+        payload = instance_payload(realize(vectors, block))
+        u = Universe(payload["variables"])
+        mu = parse_formula(payload["constraints"], u)
+        assert isinstance(mu, Or) and len(mu.operands) == len(vectors)
+        for term in mu.operands:
+            assert isinstance(term, And) and len(term.operands) == u.n
+            assert all(isinstance(op, (Var, Not)) for op in term.operands)
 
 
 class TestPackedTables:

@@ -558,8 +558,20 @@ class TestScreens:
                 if sum(v) == total and gcd(*v) == 1
             )
             total += 1
-        assert list(_screen_vectors(m)) == want[:64]
-        assert _screen_vectors(m)[0] == (1,) * m
+        vectors, array, top = _screen_vectors(m)
+        assert list(vectors) == want[:64]
+        assert vectors[0] == (1,) * m
+        assert array.dtype == np.int64 and not array.flags.writeable
+        assert array.tolist() == [list(v) for v in vectors]
+        assert top == max(map(sum, vectors))
+
+    def test_screen_witnesses_are_its_tuples(self):
+        # the array only scores; a witness is one of the cached tuples
+        matrix = np.array([[0, 4, 1], [4, 0, 1], [2, 2, 1], [1, 1, 3]], dtype=np.int64)
+        _, weights, _ = _lp_merge(matrix)
+        vectors = _screen_vectors(3)[0]
+        assert weights and all(any(w is v for v in vectors) for w in weights)
+        assert all(type(x) is int for w in weights for x in w)
 
     @pytest.mark.parametrize(
         "matrix",
