@@ -27,6 +27,7 @@ from .instancefile import (
     instance_payload,
     load_instance_file,
     parse_distance_spec,
+    read_json,
     save_instance_file,
 )
 from .instancegen import random_instance, realize, replicated_blocks
@@ -47,14 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_distance_flag(text: str) -> DistanceKind:
     if text.startswith("table:"):
-        path = text.split(":", 1)[1]
-        try:
-            with open(path, encoding="utf-8") as handle:
-                spec = json.load(handle)
-        except OSError as exc:
-            raise InstanceFormatError(f"cannot read table file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"table file is not valid JSON: {exc}") from exc
+        spec = read_json(text.split(":", 1)[1])
         if isinstance(spec, list):
             spec = {"table": spec}
         return parse_distance_spec(spec)

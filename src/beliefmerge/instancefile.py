@@ -69,17 +69,22 @@ def distance_spec(kind: DistanceKind):
     return spec
 
 
-def load_instance_file(path: str) -> InstanceFile:
+def read_json(path: str):
+    """The JSON value in the file at path; every failure to read it is an
+    InstanceFormatError naming the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise InstanceFormatError(f"{path}: JSON nested too deeply to read") from None
-    return _from_dict(raw, path)
+
+
+def load_instance_file(path: str) -> InstanceFile:
+    return _from_dict(read_json(path), path)
 
 
 def _from_dict(raw, path: str) -> InstanceFile:

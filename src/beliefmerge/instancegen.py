@@ -58,6 +58,8 @@ def realize(vectors: Sequence[Sequence[int]], n: int | None = None) -> Instance:
     bound = max(x for v in vecs for x in v)
     if n is None:
         n = max(1, bound)
+    elif n < 1:
+        raise ValueError("block size must be at least 1")
     elif bound > n:
         raise ValueError(f"entry {bound} exceeds the block size {n}")
     if n * m > MAX_VARS:

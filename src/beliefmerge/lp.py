@@ -23,12 +23,13 @@ those rows must sum to at least 1.
 The answer is sound for any subset of the other vectors in one
 direction: a certificate over a subset excludes d against all of them,
 while a witness over a subset must still be checked against the rest.
-merge._lp_merge relies on this to pass only a few active rows (row
-generation), and asks only the front rows that its two cheaper exact
-screens leave undecided: a small fixed weight vector making the row
-minimal, or two front rows whose midpoint strictly dominates it (a
-two-row certificate of the same kind). decide itself always answers
-about exactly the rows given.
+merge._critical_weights relies on this to pass only a few active rows
+(row generation), and asks only the front rows that its two cheaper
+exact screens leave undecided: a small fixed weight vector making the
+row minimal, or two front rows whose midpoint strictly dominates it (a
+two-row certificate of the same kind). Each witness it keeps joins the
+finite weight list whose argmin merge is the all-positive merge. decide
+itself always answers about exactly the rows given.
 """
 
 from __future__ import annotations

@@ -7,25 +7,26 @@ distance kind: row r is the distance vector of the r-th mu model in bit
 order, column j the distance to F_j, all from one distance-kernel call
 over the profile truth tables. The merge core (``_scheme_merge``) reads
 only mu bitmasks and a matrix, so a caller can merge row and column
-selections of one instance's matrix. A finite scheme scores every row
-against every integer weight vector with one exact matrix product and
-keeps the column minima. The all-positive scheme excludes every row off
-the Pareto front and decides the distinct front rows in three exact
-steps: a select screen (the argmin of the front against the first 64
-small positive weight vectors), an exclude screen (a midpoint of two
-front rows that strictly dominates the row), and row generation for the
-rest: an exact LP (lp.decide) over a few active front rows, a witness
-checked against the whole front by one exact product, the most violated
-rows added until none is left, and every undecided row that ties under
-a found witness selected with it. An excluded model's certificate comes
-from lp.decide: at most m other models whose convex combination of
-vectors beats it; a selected model's witness is read off the
-all-positive merge. Rows are deduplicated on mixed-radix packed keys,
-by counting when the keys span little more than the rows and by a
-stable lexsort otherwise. Scores are (vectors x rows), so every
-reduction runs along the long axis of a tall matrix. A MergeResult
-holds the selected bitmasks as a sorted int64 array with an index into
-its witness vectors per row; its Model views are built on first use.
+selections of one instance's matrix. Every scheme is decided by one
+argmin merge: an exact (vectors x rows) matrix product scores every row
+against a finite list of integer weight vectors, and a row some vector
+makes minimal is selected, witnessed by the first such vector. A finite
+scheme supplies its own list; the all-positive scheme supplies its
+critical weights, certified on the distinct Pareto front rows in three
+exact steps: a select screen (the first 64 small positive weight
+vectors), an exclude screen (a midpoint of two front rows that strictly
+dominates the row), and row generation for the rest: an exact LP
+(lp.decide) over a few active front rows, a witness checked against the
+whole front by one exact product, the most violated rows added until
+none is left, and every undecided row that ties under a found witness
+decided with it. An excluded model's certificate comes from lp.decide:
+at most m other models whose convex combination of vectors beats it.
+Rows are deduplicated on mixed-radix packed keys, by counting when the
+keys span little more than the rows and by a stable lexsort otherwise.
+Scores are (vectors x rows), so every reduction runs along the long axis
+of a tall matrix. A MergeResult holds the selected bitmasks as a sorted
+int64 array with an index into its witness vectors per row; its Model
+views are built on first use.
 """
 
 from __future__ import annotations
@@ -128,7 +129,9 @@ class MergeResult:
     certifying its minimality under the scheme.
 
     ``bits`` holds the selected bitmasks as a sorted read-only int64
-    array, and row r's witness is ``weights[witness_index[r]]``. The
+    array, and row r's witness is ``weights[witness_index[r]]``, the
+    first of the scheme's vectors (for the all-positive scheme, its
+    critical weights) under which that model is minimal. The
     views ``models`` (a frozenset of Model) and ``witnesses`` (a dict
     from Model to weight tuple) are built on first use.
     """
@@ -313,18 +316,17 @@ def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _lp_merge(matrix: np.ndarray):
-    """All-positive scheme over the Pareto front; returns (rows, weights,
-    witness_index) as _argmin_merge does.
+def _critical_weights(matrix: np.ndarray) -> list[tuple[int, ...]]:
+    """Positive integer weight vectors whose argmin merge, witnesses
+    included, is the all-positive merge of matrix.
 
-    A row off the front is excluded: a front row strictly dominates it.
-    The distinct front rows are decided in three steps, each settling a
-    row only with an exactly checked certificate:
+    A row off the front is never minimal: a front row strictly dominates
+    it. The distinct front rows are decided in three steps, each settling
+    a row only with an exactly checked certificate:
 
-    1. Select screen: one _argmin_merge of the front rows against
-       _screen_vectors(m). A row some vector makes minimal is selected,
-       witnessed by the first such vector. A front of one row is
-       decided here, by (1, ..., 1).
+    1. Select screen: the front rows against _screen_vectors(m). Each
+       vector first to make some row minimal is kept, in screen order;
+       (1, ..., 1) always is, so a front of one row is decided here.
     2. Exclude screen: a remaining row d is excluded when the midpoint
        of two front rows strictly dominates it (_midpoint_pairs), a
        convex certificate of 2 <= m rows.
@@ -333,20 +335,17 @@ def _lp_merge(matrix: np.ndarray):
        nearest to it in L1. A zero optimum is a certificate over the
        whole front. A witness is checked against every front row; while
        some row scores below d, the m most violated join the active set
-       and the LP runs again. A witness that passes selects every
-       undecided front row tying d's score, so those rows are never
-       asked.
+       and the LP runs again. A witness that passes is kept, and decides
+       every undecided front row tying d's score: an earlier vector
+       making a row minimal has decided it, so the row's first vector
+       is the one that decided it.
     """
-    rows, _, inverse, front = distinct_front(matrix)
-    on_front = np.flatnonzero(front)
-    front_rows = rows[on_front]
+    rows, _, _, front = distinct_front(matrix)
+    front_rows = rows[front]
     m = front_rows.shape[1]
     vectors, screen, top = _screen_vectors(m)
     hit, _, hit_index = _argmin_merge(front_rows, screen, top)
-    used, hit_slot = np.unique(hit_index, return_inverse=True)
-    weights = [vectors[j] for j in used.tolist()]
-    slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
-    slot[on_front[hit]] = hit_slot
+    weights = [vectors[j] for j in np.flatnonzero(np.bincount(hit_index)).tolist()]
     undecided = np.ones(len(front_rows), dtype=bool)
     undecided[hit] = False
     rest = np.flatnonzero(undecided)
@@ -370,25 +369,21 @@ def _lp_merge(matrix: np.ndarray):
             worst = violated[np.argsort(scores[violated], kind="stable")[:m]]
             active = np.sort(np.concatenate((active, worst)))
         if w is not None:
-            ties = undecided & (scores == scores[i])
-            ties[i] = True
-            slot[on_front[ties]] = len(weights)
+            undecided &= scores != scores[i]
             weights.append(w)
-            undecided &= ~ties
-    witness_index = slot[inverse]
-    chosen = np.flatnonzero(witness_index >= 0)
-    return chosen, weights, witness_index[chosen]
+    return weights
 
 
 def _scheme_merge(universe: Universe, mu_bits: np.ndarray, matrix: np.ndarray,
                   scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
     """The scheme's merge of the worlds mu_bits whose distance vectors
-    are the rows of matrix, one column per profile entry."""
+    are the rows of matrix, one column per profile entry: the argmin
+    merge over the scheme's vectors, or over _critical_weights(matrix)
+    for the all-positive scheme."""
     vectors = expand_scheme(scheme, kind, universe.n, matrix.shape[1])
     if vectors is None:
-        rows, weights, witness_index = _lp_merge(matrix)
-    else:
-        rows, weights, witness_index = _argmin_merge(matrix, vectors)
+        vectors = _critical_weights(matrix)
+    rows, weights, witness_index = _argmin_merge(matrix, vectors)
     return MergeResult(
         universe, _read_only(mu_bits[rows]), tuple(weights), _read_only(witness_index)
     )

@@ -5,16 +5,20 @@ Python, deliberately avoiding the package's kernels, LP and geometry so
 the two routes stay independent. The recursive per-model ``evaluate`` is
 the reference for the package's truth tables, and Fourier-Motzkin
 elimination, which the package's integer simplex replaced, stays here as
-the differential oracle for lp.decide. Two replaced algorithms are kept
-as they were: ``recursive_truth_table`` (one numpy column per AST node)
-is the reference for the packed-word truth tables, and
-``full_row_lp_merge`` (one lp.decide per front row against every other
-front row) the reference for the all-weights merge's row generation.
+the differential oracle for lp.decide. Replaced algorithms are kept as
+they were: ``recursive_truth_table`` (one numpy column per AST node) is
+the reference for the packed-word truth tables, ``full_row_lp_merge``
+(one lp.decide per front row against every other front row) the
+reference for the all-weights merge's row generation, and
 ``row_generation_merge`` (row generation over every front row, with no
-screen before it) is the reference for the screened all-weights merge,
-and ``mu_models`` (a Model per mu bitmask) a test-side view of an
-Instance. ``unique_rows`` (numpy's ``unique(axis=0)``) is the
-reference for merge.distinct_front's stable lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
+screen before it) the reference for its screens. ``spread_lp_merge``
+(the screened merge writing a witness slot per distinct row, spread to
+the input rows through distinct_front's inverse) is the reference for
+the all-weights merge as an argmin over its critical weights: the same
+rows, weights and witness indices. ``mu_models`` (a Model per mu
+bitmask) is a test-side view of an Instance. ``unique_rows`` (numpy's
+``unique(axis=0)``) is the reference for merge.distinct_front's stable
+lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
 reference for the CLI's array-based ``merge --json`` writer. The subset
 enumerator ``subset_maxcons``, which the drastic Pareto front replaced,
 is the differential oracle for maxcons and its disjunction.
@@ -55,7 +59,13 @@ from beliefmerge.formulae import (
     Or,
     Var,
 )
-from beliefmerge.merge import _scores, distinct_front
+from beliefmerge.merge import (
+    _argmin_merge,
+    _midpoint_pairs,
+    _scores,
+    _screen_vectors,
+    distinct_front,
+)
 from beliefmerge.weights import scheme_to_text
 
 
@@ -438,6 +448,60 @@ def row_generation_merge(matrix: np.ndarray):
             nearest = dict(zip(block.tolist(), np.argsort(l1, axis=1, kind="stable")))
         undecided[i] = False
         order = nearest[i]
+        active = np.sort(order[order != i][:m])
+        while True:
+            w = lp.decide(d, front_rows[active].tolist())[0]
+            if w is None:
+                break
+            scores = _scores(front_rows, [w])[0]
+            violated = np.flatnonzero(scores < scores[i])
+            if len(violated) == 0:
+                break
+            worst = violated[np.argsort(scores[violated], kind="stable")[:m]]
+            active = np.sort(np.concatenate((active, worst)))
+        if w is not None:
+            ties = undecided & (scores == scores[i])
+            ties[i] = True
+            slot[on_front[ties]] = len(weights)
+            weights.append(w)
+            undecided &= ~ties
+    witness_index = slot[inverse]
+    chosen = np.flatnonzero(witness_index >= 0)
+    return chosen, weights, witness_index[chosen]
+
+
+def spread_lp_merge(matrix: np.ndarray):
+    """All-positive scheme with a witness slot per distinct row; returns
+    (rows, weights, witness_index) as _argmin_merge does.
+
+    The distinct front rows are decided as merge._critical_weights
+    decides them: the select screen, the exclude screen, then row
+    generation. Each decision writes a slot per distinct row: the
+    screen's hits numbered by np.unique, a found witness's slot into
+    every row tying under it. The slots are spread to the input rows
+    through distinct_front's inverse.
+    """
+    rows, _, inverse, front = distinct_front(matrix)
+    on_front = np.flatnonzero(front)
+    front_rows = rows[on_front]
+    m = front_rows.shape[1]
+    vectors, screen, top = _screen_vectors(m)
+    hit, _, hit_index = _argmin_merge(front_rows, screen, top)
+    used, hit_slot = np.unique(hit_index, return_inverse=True)
+    weights = [vectors[j] for j in used.tolist()]
+    slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
+    slot[on_front[hit]] = hit_slot
+    undecided = np.ones(len(front_rows), dtype=bool)
+    undecided[hit] = False
+    rest = np.flatnonzero(undecided)
+    if len(rest):
+        undecided[rest[_midpoint_pairs(front_rows, rest)[:, 0] >= 0]] = False
+    for i in np.flatnonzero(undecided).tolist():
+        if not undecided[i]:
+            continue
+        undecided[i] = False
+        d = front_rows[i].tolist()
+        order = np.argsort(np.abs(front_rows - front_rows[i]).sum(axis=1), kind="stable")
         active = np.sort(order[order != i][:m])
         while True:
             w = lp.decide(d, front_rows[active].tolist())[0]

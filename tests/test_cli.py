@@ -445,14 +445,24 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "command", [["merge"], ["check", "--postulate", "ic0"], ["maxcons"]]
+        "command",
+        [
+            ["merge", "--instance", "{deep}"],
+            ["check", "--postulate", "ic0", "--instance", "{deep}"],
+            ["maxcons", "--instance", "{deep}"],
+            ["merge", "--instance", "{intro}", "--distance", "table:{deep}"],
+        ],
     )
-    def test_deeply_nested_json_is_blamed_on_the_file(self, capsys, tmp_path, command):
-        """json.load overflows on arrays nested 1100 deep: the message
-        names the file and does not blame a formula."""
+    def test_deeply_nested_json_is_blamed_on_the_file(
+        self, capsys, tmp_path, intro_file, command
+    ):
+        """json.load overflows on arrays nested 1100 deep, in an instance
+        file or a distance table file: the message names the file and
+        does not blame a formula."""
         path = tmp_path / "deep.json"
         path.write_text("[" * 1100 + "]" * 1100)
-        code, out, err = run(capsys, *command, "--instance", str(path))
+        args = [a.format(deep=path, intro=intro_file) for a in command]
+        code, out, err = run(capsys, *args)
         assert (code, out) == (2, "")
         assert err.startswith(f"beliefmerge: {path}")
         assert "formula" not in err.replace(str(path), "")

@@ -74,6 +74,9 @@ class TestRealize:
             realize([[-1]])
         with pytest.raises(ValueError):
             realize([[3]], n=2)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="block size must be at least 1"):
+                realize([[0]], n=n)
 
     def test_enumeration_guard_trips_before_building(self, monkeypatch):
         def refuse(names):

@@ -37,7 +37,6 @@ from beliefmerge.maxcons import maxcons_disjunction
 from beliefmerge import _kernels, merge as merge_module
 from beliefmerge.merge import (
     _argmin_merge,
-    _lp_merge,
     _midpoint_pairs,
     _scores,
     _screen_vectors,
@@ -55,6 +54,7 @@ from oracles import (
     mu_models,
     perfbench_inputs,
     row_generation_merge,
+    spread_lp_merge,
     strictly_dominates,
     unique_rows,
 )
@@ -403,10 +403,29 @@ def _antichain(rng, m, top, level, count):
     return np.array(chosen, dtype=np.int64)
 
 
+def _all_positive(matrix):
+    """The merge core's all-positive merge of a bare matrix as (rows,
+    weights, witness_index), each row standing for the world of its
+    index."""
+    result = merge_module._scheme_merge(
+        Universe(["x"]), np.arange(len(matrix)), matrix, AllPositiveWeights(), DH
+    )
+    return result.bits, result.weights, result.witness_index
+
+
+def _check_spread(matrix, rows, weights, witness_index):
+    """The merge of matrix equals spread_lp_merge's, witnesses included."""
+    want_rows, want_weights, want_index = spread_lp_merge(matrix)
+    assert rows.tolist() == want_rows.tolist()
+    assert list(weights) == want_weights
+    assert witness_index.tolist() == want_index.tolist()
+
+
 class TestRowGeneration:
-    """The screened all-weights merge against the full-row oracle and
-    row generation alone: the same selected rows, each witness minimal
-    over the whole matrix and each midpoint exclusion re-checked, all in
+    """The screened all-weights merge against the full-row oracle, row
+    generation alone and the slot-spreading merge: the same selected
+    rows, the slot-spreading merge's witnesses, each witness minimal over
+    the whole matrix and each midpoint exclusion re-checked, all in
     Python ints."""
 
     @pytest.fixture(autouse=True)
@@ -429,7 +448,8 @@ class TestRowGeneration:
 
     def _check(self, matrix):
         start = len(self.exclusions)
-        rows, weights, witness_index = _lp_merge(matrix)
+        rows, weights, witness_index = _all_positive(matrix)
+        _check_spread(matrix, rows, weights, witness_index)
         assert rows.tolist() == sorted(full_row_lp_merge(matrix))
         assert rows.tolist() == row_generation_merge(matrix)[0].tolist()
         values = matrix.tolist()
@@ -511,7 +531,7 @@ class TestRowGeneration:
             return decide(d, others)
 
         monkeypatch.setattr(merge_module.lp, "decide", spy)
-        _lp_merge(matrix)
+        _all_positive(matrix)
         rows, _, _, front = distinct_front(matrix)
         front_rows = [tuple(r) for r in rows[front].tolist()]
         m = matrix.shape[1]
@@ -568,7 +588,7 @@ class TestScreens:
     def test_screen_witnesses_are_its_tuples(self):
         # the array only scores; a witness is one of the cached tuples
         matrix = np.array([[0, 4, 1], [4, 0, 1], [2, 2, 1], [1, 1, 3]], dtype=np.int64)
-        _, weights, _ = _lp_merge(matrix)
+        _, weights, _ = _all_positive(matrix)
         vectors = _screen_vectors(3)[0]
         assert weights and all(any(w is v for v in vectors) for w in weights)
         assert all(type(x) is int for w in weights for x in w)
@@ -584,7 +604,7 @@ class TestScreens:
     )
     def test_one_row_front_is_witnessed_by_ones_without_an_lp(self, matrix, monkeypatch):
         monkeypatch.setattr(merge_module.lp, "decide", None)  # any call fails
-        rows, weights, witness_index = _lp_merge(matrix)
+        rows, weights, witness_index = _all_positive(matrix)
         best = matrix.sum(axis=1) == matrix.sum(axis=1).min()
         assert rows.tolist() == np.flatnonzero(best).tolist()
         assert [weights[j] for j in witness_index.tolist()] == [(1,) * matrix.shape[1]] * len(rows)
@@ -610,6 +630,59 @@ class TestScreens:
             merge_scheme(realize(vectors, block), AllPositiveWeights(), DH)
         assert counts["decide"] <= 26
         assert counts["pivot"] <= 159
+
+
+NON_MONOTONE = DistanceKind.from_table([(0, 0), (1, 5), (2, 1), (3, 4)], default=2)
+
+
+class TestWitnessRule:
+    """One witness rule for every scheme: a model is selected exactly
+    when some entry of result.weights makes it minimal, its witness is
+    the first such entry, and every entry is a positive integer vector.
+    The all-positive merge's entries are its critical weights, each the
+    witness of some model."""
+
+    @pytest.mark.parametrize("kind", [DH, DD, NON_MONOTONE], ids=["hamming", "drastic", "table"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_minimal_entry_witnesses(self, seed, kind):
+        inst = random_instance(3 + seed % 3, 1 + seed % 4, seed=seed)
+        m = inst.m
+        listed = [[1 + (i + j) % 3 for j in range(m)] for i in range(3)]
+        texts = ["equal", "expert", "all", "list:" + ";".join(
+            [",".join(map(str, v)) for v in listed] + [",".join(["1/2"] + ["5/3"] * (m - 1))]
+        )]
+        values = inst.distances(kind).tolist()
+        for text in texts:
+            result = merge_scheme(inst, parse_scheme(text), kind)
+            assert result.weights
+            assert all(type(x) is int and x > 0 for w in result.weights for x in w)
+            assert all(len(w) == m for w in result.weights)
+            scores = [[sum(a * b for a, b in zip(w, v)) for v in values] for w in result.weights]
+            first = {}
+            for j, row_scores in enumerate(scores):
+                for r, score in enumerate(row_scores):
+                    if score == min(row_scores):
+                        first.setdefault(r, j)
+            selected = [int(inst.mu_bits[r]) for r in sorted(first)]
+            assert result.bits.tolist() == selected
+            assert result.witness_index.tolist() == [first[r] for r in sorted(first)]
+            if text == "all":
+                assert sorted(set(first.values())) == list(range(len(result.weights)))
+
+
+class TestCriticalWeights:
+    """The all-positive merge on whole instances against
+    spread_lp_merge: equal rows, weights and witness indices under a
+    monotone, the drastic and a non-monotone distance."""
+
+    @pytest.mark.parametrize("kind", [DH, DD, NON_MONOTONE], ids=["hamming", "drastic", "table"])
+    def test_random_instances(self, kind):
+        for seed in range(200):
+            inst = random_instance(2 + seed % 5, 1 + seed % 5, seed=seed)
+            result = merge_scheme(inst, AllPositiveWeights(), kind)
+            matrix = inst.distances(kind)
+            rows = np.searchsorted(inst.mu_bits, result.bits)
+            _check_spread(matrix, rows, result.weights, result.witness_index)
 
 
 def _brute_argmin(matrix, vectors):
