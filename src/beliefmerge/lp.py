@@ -27,9 +27,9 @@ merge._critical_weights relies on this to pass only a few active rows
 (row generation), and asks only the front rows that its two cheaper
 exact screens leave undecided: a small fixed weight vector making the
 row minimal, or two front rows whose midpoint strictly dominates it (a
-two-row certificate of the same kind). Each witness it keeps joins the
-finite weight list whose argmin merge is the all-positive merge. decide
-itself always answers about exactly the rows given.
+two-row certificate of the same kind). Its witnesses are the weights
+whose argmin is the all-positive merge. decide itself always answers
+about exactly the rows given.
 """
 
 from __future__ import annotations

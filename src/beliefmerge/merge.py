@@ -8,25 +8,26 @@ order, column j the distance to F_j, all from one distance-kernel call
 over the profile truth tables. The merge core (``_scheme_merge``) reads
 only mu bitmasks and a matrix, so a caller can merge row and column
 selections of one instance's matrix. Every scheme is decided by one
-argmin merge: an exact (vectors x rows) matrix product scores every row
+argmin merge: an exact (vectors x rows) matrix product scores rows
 against a finite list of integer weight vectors, and a row some vector
-makes minimal is selected, witnessed by the first such vector. A finite
-scheme supplies its own list; the all-positive scheme supplies its
-critical weights, certified on the distinct Pareto front rows in three
-exact steps: a select screen (the first 64 small positive weight
-vectors), an exclude screen (a midpoint of two front rows that strictly
-dominates the row), and row generation for the rest: an exact LP
-(lp.decide) over a few active front rows, a witness checked against the
-whole front by one exact product, the most violated rows added until
-none is left, and every undecided row that ties under a found witness
-decided with it. An excluded model's certificate comes from lp.decide:
-at most m other models whose convex combination of vectors beats it.
-Rows are deduplicated on mixed-radix packed keys, by counting when the
-keys span little more than the rows and by a stable lexsort otherwise.
-Scores are (vectors x rows), so every reduction runs along the long axis
-of a tall matrix. A MergeResult holds the selected bitmasks as a sorted
-int64 array with an index into its witness vectors per row; its Model
-views are built on first use.
+makes minimal is selected, witnessed by the first such vector. Finite
+schemes score every row against their own list. The all-positive scheme
+scores the distinct Pareto front rows against its critical weights,
+spreads the verdicts to every row through distinct_front's inverse, and
+certifies the weights in three exact steps: a select screen (the first
+64 small positive weight vectors), an exclude screen (a midpoint of two
+front rows that strictly dominates the row), and row generation for the
+rest: an exact LP (lp.decide) over a few active front rows, a witness
+checked against the whole front by one exact product, the most violated
+rows added until none is left, and every undecided row that ties under a
+found witness decided with it. An excluded model's certificate comes
+from lp.decide: at most m other models whose convex combination of
+vectors beats it. Rows are deduplicated on mixed-radix packed keys, by
+counting when the keys span little more than the rows and by a stable
+lexsort otherwise. Scores are (vectors x rows), so every reduction runs
+along the long axis of a tall matrix. A MergeResult holds the selected
+bitmasks as a sorted int64 array with an index into its witness vectors
+per row; its Model views are built on first use.
 """
 
 from __future__ import annotations
@@ -131,9 +132,9 @@ class MergeResult:
     ``bits`` holds the selected bitmasks as a sorted read-only int64
     array, and row r's witness is ``weights[witness_index[r]]``, the
     first of the scheme's vectors (for the all-positive scheme, its
-    critical weights) under which that model is minimal. The
-    views ``models`` (a frozenset of Model) and ``witnesses`` (a dict
-    from Model to weight tuple) are built on first use.
+    critical weights) under which that model is minimal. The views
+    ``models`` (a frozenset of Model) and ``witnesses`` (a dict from
+    Model to weight tuple) are built on first use.
     """
 
     universe: Universe
@@ -316,13 +317,12 @@ def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _critical_weights(matrix: np.ndarray) -> list[tuple[int, ...]]:
-    """Positive integer weight vectors whose argmin merge, witnesses
-    included, is the all-positive merge of matrix.
+def _critical_weights(front_rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Positive integer weight vectors whose argmin merge of the distinct
+    Pareto front rows, witnesses included, is their all-positive merge.
 
-    A row off the front is never minimal: a front row strictly dominates
-    it. The distinct front rows are decided in three steps, each settling
-    a row only with an exactly checked certificate:
+    The rows are decided in three steps, each settling a row only with
+    an exactly checked certificate:
 
     1. Select screen: the front rows against _screen_vectors(m). Each
        vector first to make some row minimal is kept, in screen order;
@@ -335,13 +335,10 @@ def _critical_weights(matrix: np.ndarray) -> list[tuple[int, ...]]:
        nearest to it in L1. A zero optimum is a certificate over the
        whole front. A witness is checked against every front row; while
        some row scores below d, the m most violated join the active set
-       and the LP runs again. A witness that passes is kept, and decides
-       every undecided front row tying d's score: an earlier vector
-       making a row minimal has decided it, so the row's first vector
-       is the one that decided it.
+       and the LP runs again. A witness that passes is kept and decides
+       every undecided front row tying d's score, none of which an
+       earlier vector makes minimal.
     """
-    rows, _, _, front = distinct_front(matrix)
-    front_rows = rows[front]
     m = front_rows.shape[1]
     vectors, screen, top = _screen_vectors(m)
     hit, _, hit_index = _argmin_merge(front_rows, screen, top)
@@ -354,7 +351,6 @@ def _critical_weights(matrix: np.ndarray) -> list[tuple[int, ...]]:
     for i in np.flatnonzero(undecided).tolist():
         if not undecided[i]:
             continue
-        undecided[i] = False
         d = front_rows[i].tolist()
         order = np.argsort(np.abs(front_rows - front_rows[i]).sum(axis=1), kind="stable")
         active = np.sort(order[order != i][:m])
@@ -377,13 +373,19 @@ def _critical_weights(matrix: np.ndarray) -> list[tuple[int, ...]]:
 def _scheme_merge(universe: Universe, mu_bits: np.ndarray, matrix: np.ndarray,
                   scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
     """The scheme's merge of the worlds mu_bits whose distance vectors
-    are the rows of matrix, one column per profile entry: the argmin
-    merge over the scheme's vectors, or over _critical_weights(matrix)
-    for the all-positive scheme."""
+    are the rows of matrix, one column per profile entry. All-positive
+    weights score only the distinct front rows: no other row is minimal."""
     vectors = expand_scheme(scheme, kind, universe.n, matrix.shape[1])
-    if vectors is None:
-        vectors = _critical_weights(matrix)
-    rows, weights, witness_index = _argmin_merge(matrix, vectors)
+    if vectors is not None:
+        rows, weights, witness_index = _argmin_merge(matrix, vectors)
+    else:
+        distinct, _, inverse, front = distinct_front(matrix)
+        weights = _critical_weights(distinct[front])
+        hit, _, hit_index = _argmin_merge(distinct[front], weights)
+        slot = np.full(len(distinct), -1, dtype=np.intp)  # distinct row -> its witness
+        slot[np.flatnonzero(front)[hit]] = hit_index
+        rows = np.flatnonzero(slot[inverse] >= 0)
+        witness_index = slot[inverse[rows]]
     return MergeResult(
         universe, _read_only(mu_bits[rows]), tuple(weights), _read_only(witness_index)
     )

@@ -12,24 +12,25 @@ the reference for the packed-word truth tables, ``full_row_lp_merge``
 reference for the all-weights merge's row generation, and
 ``row_generation_merge`` (row generation over every front row, with no
 screen before it) the reference for its screens. ``spread_lp_merge``
-(the screened merge writing a witness slot per distinct row, spread to
-the input rows through distinct_front's inverse) is the reference for
-the all-weights merge as an argmin over its critical weights: the same
-rows, weights and witness indices. ``mu_models`` (a Model per mu
-bitmask) is a test-side view of an Instance. ``unique_rows`` (numpy's
-``unique(axis=0)``) is the reference for merge.distinct_front's stable
-lexsort, and ``merge_json`` (a payload dict through ``json.dumps``) the
-reference for the CLI's array-based ``merge --json`` writer. The subset
-enumerator ``subset_maxcons``, which the drastic Pareto front replaced,
-is the differential oracle for maxcons and its disjunction.
-``sweep_column`` (one hypercube sweep per column from scattered target
-bitmasks, read out with one masked pass per table value) is the
-reference for the batched, truth-table-seeded distance kernel, and
-``fraction_witness`` (the point as Fractions, denominators cleared) the
-reference for lp.decide's gcd-reduced witness. ``recursive_parse`` (a
-tokenizer plus recursive descent) and ``recursive_formula_to_text`` (one
-call per AST node) are the references for the stack-based parser and
-printer.
+(the screened merge writing a witness slot per distinct row during the
+LP, spread to the input rows through the inverse, with its screens,
+scores and front in Python ints and only lp.decide from the package) is
+the reference for the all-weights merge as an argmin over its critical
+weights: the same rows, weights and witness indices. ``mu_models`` (a
+Model per mu bitmask) is a test-side view of an Instance.
+``unique_rows`` (numpy's ``unique(axis=0)``) is the reference for
+merge.distinct_front's stable lexsort, and ``merge_json`` (a payload
+dict through ``json.dumps``) the reference for the CLI's array-based
+``merge --json`` writer. The subset enumerator ``subset_maxcons``, which
+the drastic Pareto front replaced, is the differential oracle for
+maxcons and its disjunction. ``sweep_column`` (one hypercube sweep per
+column from scattered target bitmasks, read out with one masked pass per
+table value) is the reference for the batched, truth-table-seeded
+distance kernel, and ``fraction_witness`` (the point as Fractions,
+denominators cleared) the reference for lp.decide's gcd-reduced witness.
+``recursive_parse`` (a tokenizer plus recursive descent) and
+``recursive_formula_to_text`` (one call per AST node) are the references
+for the stack-based parser and printer.
 """
 
 import importlib.util
@@ -59,13 +60,7 @@ from beliefmerge.formulae import (
     Or,
     Var,
 )
-from beliefmerge.merge import (
-    _argmin_merge,
-    _midpoint_pairs,
-    _scores,
-    _screen_vectors,
-    distinct_front,
-)
+from beliefmerge.merge import _scores, distinct_front
 from beliefmerge.weights import scheme_to_text
 
 
@@ -470,58 +465,93 @@ def row_generation_merge(matrix: np.ndarray):
     return chosen, weights, witness_index[chosen]
 
 
+def _first_gcd_one_vectors(m: int, count: int) -> list[tuple[int, ...]]:
+    """The first count positive integer m-vectors with gcd 1, by
+    increasing sum and lexicographically within a sum; (1,) is the only
+    one for m = 1."""
+    if m == 1:
+        return [(1,)]
+    found, total = [], m
+    while len(found) < count:
+        found += [
+            v for v in product(range(1, total - m + 2), repeat=m)
+            if sum(v) == total and gcd(*v) == 1
+        ]
+        total += 1
+    return found[:count]
+
+
+def _dot(w: Sequence[int], d: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(w, d))
+
+
 def spread_lp_merge(matrix: np.ndarray):
     """All-positive scheme with a witness slot per distinct row; returns
-    (rows, weights, witness_index) as _argmin_merge does.
+    (rows, weights, witness_index) as merge._argmin_merge does.
 
-    The distinct front rows are decided as merge._critical_weights
-    decides them: the select screen, the exclude screen, then row
-    generation. Each decision writes a slot per distinct row: the
-    screen's hits numbered by np.unique, a found witness's slot into
-    every row tying under it. The slots are spread to the input rows
-    through distinct_front's inverse.
+    The distinct front rows (numpy's unique rows, then those no other
+    distinct row strictly dominates) are decided in Python ints: a
+    select screen over the first 64 positive gcd-1 vectors, where each
+    row takes the first vector making it minimal and the vectors used
+    are numbered in screen order; an exclude screen, where a row goes
+    when the midpoint of two front rows strictly dominates it; then row
+    generation with lp.decide, where a witness that passes writes its
+    slot into every undecided row tying under it. The slots are spread
+    to the input rows through the inverse.
     """
-    rows, _, inverse, front = distinct_front(matrix)
-    on_front = np.flatnonzero(front)
-    front_rows = rows[on_front]
-    m = front_rows.shape[1]
-    vectors, screen, top = _screen_vectors(m)
-    hit, _, hit_index = _argmin_merge(front_rows, screen, top)
-    used, hit_slot = np.unique(hit_index, return_inverse=True)
-    weights = [vectors[j] for j in used.tolist()]
-    slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
-    slot[on_front[hit]] = hit_slot
-    undecided = np.ones(len(front_rows), dtype=bool)
-    undecided[hit] = False
-    rest = np.flatnonzero(undecided)
-    if len(rest):
-        undecided[rest[_midpoint_pairs(front_rows, rest)[:, 0] >= 0]] = False
-    for i in np.flatnonzero(undecided).tolist():
+    rows, _, inverse = unique_rows(matrix)
+    distinct = [tuple(r) for r in rows.tolist()]
+    on_front = [
+        k for k, d in enumerate(distinct)
+        if not any(strictly_dominates(e, d) for e in distinct)
+    ]
+    front = [distinct[k] for k in on_front]
+    m = matrix.shape[1]
+    screen = _first_gcd_one_vectors(m, 64)
+    first = {}  # front row -> the screen vector first making it minimal
+    for j, w in enumerate(screen):
+        scores = [_dot(w, d) for d in front]
+        for i, score in enumerate(scores):
+            if score == min(scores):
+                first.setdefault(i, j)
+    used = sorted(set(first.values()))
+    weights = [screen[j] for j in used]
+    slot = [-1] * len(distinct)  # distinct row -> its witness
+    for i, j in first.items():
+        slot[on_front[i]] = used.index(j)
+    undecided = [i not in first for i in range(len(front))]
+    for i, d in enumerate(front):
+        below = [e for e in front if all(y <= 2 * x for x, y in zip(d, e))]
+        undecided[i] = undecided[i] and not any(
+            min(gap) >= 0 and any(gap)
+            for a in below for b in below
+            for gap in [[2 * x - y - z for x, y, z in zip(d, a, b)]]
+        )
+    for i, d in enumerate(front):
         if not undecided[i]:
             continue
         undecided[i] = False
-        d = front_rows[i].tolist()
-        order = np.argsort(np.abs(front_rows - front_rows[i]).sum(axis=1), kind="stable")
-        active = np.sort(order[order != i][:m])
+        l1 = [sum(abs(x - y) for x, y in zip(d, e)) for e in front]
+        nearest = [j for j in sorted(range(len(front)), key=l1.__getitem__) if j != i]
+        active = sorted(nearest[:m])
         while True:
-            w = lp.decide(d, front_rows[active].tolist())[0]
+            w = lp.decide(list(d), [list(front[j]) for j in active])[0]
             if w is None:
                 break
-            scores = _scores(front_rows, [w])[0]
-            violated = np.flatnonzero(scores < scores[i])
-            if len(violated) == 0:
+            scores = [_dot(w, e) for e in front]
+            violated = [j for j, score in enumerate(scores) if score < scores[i]]
+            if not violated:
                 break
-            worst = violated[np.argsort(scores[violated], kind="stable")[:m]]
-            active = np.sort(np.concatenate((active, worst)))
+            active = sorted(active + sorted(violated, key=scores.__getitem__)[:m])
         if w is not None:
-            ties = undecided & (scores == scores[i])
-            ties[i] = True
-            slot[on_front[ties]] = len(weights)
+            for j, score in enumerate(scores):
+                if (undecided[j] or j == i) and score == scores[i]:
+                    slot[on_front[j]] = len(weights)
+                    undecided[j] = False
             weights.append(w)
-            undecided &= ~ties
-    witness_index = slot[inverse]
-    chosen = np.flatnonzero(witness_index >= 0)
-    return chosen, weights, witness_index[chosen]
+    chosen = [r for r, k in enumerate(inverse.tolist()) if slot[k] >= 0]
+    witness_index = [slot[k] for k in inverse[chosen].tolist()]
+    return np.array(chosen, dtype=np.intp), weights, np.array(witness_index, dtype=np.intp)
 
 
 _MU_MODELS = weakref.WeakKeyDictionary()  # Instance -> its mu models
