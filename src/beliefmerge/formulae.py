@@ -8,20 +8,19 @@ stays a node of its own, so ``parse_formula(formula_to_text(f)) == f``.
 Everything here works by exhaustive enumeration over the 2^n
 assignments, which is the intended contract at desk scale:
 ``truth_table`` refuses a universe of more than ``MAX_VARS`` variables
-before it allocates anything. It evaluates a formula without recursion
-over packed 64-world words, one step per AST node, where the literals
-of a chain make one cube column together; the parser and
-``formula_to_text`` use explicit stacks too, so no step recurses once
-per nesting level. Dataclass ``==``, ``hash`` and ``repr`` still
-recurse once per nesting level, but not once per chain operand.
+before it allocates anything. It evaluates a formula without recursion,
+one step per AST node, on columns that are Python-int bitsets (bit x is
+world x's value), where the literals of a chain make one cube column
+together; the parser and ``formula_to_text`` use explicit stacks too, so
+no step recurses once per nesting level. Dataclass ``==``, ``hash`` and
+``repr`` still recurse once per nesting level, but not once per chain
+operand.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -179,205 +178,116 @@ def disjunction(parts: Iterable[Formula]) -> Formula:
     return Or(*parts)
 
 
-# Column words of the variables on bits 0..5 of a world: bit k of the word
-# is world k's value, so bit b of k selects the pattern.
-_LOW_INTS = tuple(sum(1 << k for k in range(64) if (k >> b) & 1) for b in range(6))
-_LOW_WORDS = np.array(_LOW_INTS, dtype="<u8")
-_ONES = (1 << 64) - 1
-# A column is a uint64 array of 2^n / 64 words, or one Python int when
-# n <= 6: every step below works on either through &, |, ^ and ~ (an
-# int's bits above 63 are ignored), so a tiny formula makes no numpy call
-# before its result.
-_FOLD = {Implies: lambda a, b: ~a | b, Iff: lambda a, b: ~(a ^ b)}
-_CHAIN_FOLD = {And: (operator.and_, operator.iand), Or: (operator.or_, operator.ior)}
-
-
-def _variable_column(bit: int, words: int, positive: bool):
-    """Column of the variable on bit `bit` of a world, or of its negation:
-    a one-literal cube, built with fewer steps than _cube_column takes."""
-    if words == 1:
-        return _LOW_INTS[bit] if positive else ~_LOW_INTS[bit]
-    if bit < 6:
-        column = _LOW_WORDS[bit : bit + 1].repeat(words)
-    else:
-        column = np.zeros(words, dtype="<u8")
-        column.reshape(words >> (bit - 5), 2, 1 << (bit - 6))[:, 1] = _ONES
-    if not positive:
-        np.invert(column, out=column)
-    return column
-
-
-@cache
-def _pattern(mask: int, value: int) -> int:
-    """The word of the 64 worlds k with k & mask == value (bits 0..5)."""
-    word = _ONES
-    for b in range(6):
-        if mask >> b & 1:
-            word &= _LOW_INTS[b] if value >> b & 1 else ~_LOW_INTS[b]
-    return word
-
-
-def _filled(words: int, word: int):
-    """A fresh column of `words` copies of `word`."""
-    if words == 1:
-        return word
-    if not word:
-        return np.zeros(words, dtype="<u8")
-    column = np.empty(words, dtype="<u8")
-    column.fill(word)
-    return column
-
-
-def _cube_column(mask: int | None, value: int, background: int, high: int):
-    """Column over 2^high words: the complement of background on
-    the worlds x with x & mask == value, background elsewhere. Bits 0..5
-    of mask pick the in-word pattern, the bits above it the words."""
-    if mask is None:
-        return _filled(1 << high, background)
-    word = _pattern(mask & 63, value & 63) ^ background
-    fixed, at = mask >> 6, value >> 6
-    if not fixed:
-        return _filled(1 << high, word)
-    column = _filled(1 << high, background)
-    if fixed == (1 << high) - 1:
-        column[at] = word
-        return column
-    shape, index = [], []  # one axis per run of fixed or free word bits
-    b = 0
-    while b < high:
-        x = fixed >> b
-        if x & 1:
-            run = (x ^ (x + 1)).bit_length() - 1
-            index.append(at >> b & ((1 << run) - 1))
-        else:
-            run = (x & -x).bit_length() - 1 if x else high - b
-            index.append(slice(None))
-        shape.append(1 << run)
-        b += run
-    column.reshape(shape[::-1])[tuple(index[::-1])] = word
-    return column
-
-
-def _cube_step(g: _Chain, others: int, universe: Universe) -> tuple:
-    """The program step of an And or Or chain with two or more literal
-    operands: (its connective, how many values it takes off the stack,
-    its cube). The cube is _cube_column's (mask, value, background) of the
-    worlds whose bits match every literal (every negated literal for an
-    Or, whose clause is the complement of that cube, on background all
-    ones); mask is None when two literals contradict each other."""
-    n = universe.n
-    index = universe._index
-    positive = negative = 0  # bits of the variables that occur bare, negated
-    try:
-        for op in g.operands:
-            if type(op) is Var:
-                positive |= 1 << (n - 1 - index[op.name])
-            elif type(op) is Not and type(op.operand) is Var:
-                negative |= 1 << (n - 1 - index[op.operand.name])
-    except KeyError as exc:
-        raise UnknownVariableError(exc.args[0]) from None
-    kind = type(g)
-    if positive & negative:  # x and !x
-        cube = None, 0, _ONES if kind is Or else 0
-    elif kind is Or:
-        cube = positive | negative, negative, _ONES
-    else:
-        cube = positive | negative, positive, 0
-    return kind, others, cube
+def _cube(mask: int, value: int, n: int) -> int:
+    """The worlds x < 2^n with x & mask == value, as a bitset. The worlds
+    below mask's lowest bit are one block of ones. From there up to the
+    highest free bit, a free bit b doubles the set by a shift of 2^b and a
+    bit that value sets shifts it by 2^b; the value bits above are one
+    last shift, so a full term is a single 1 << value."""
+    low = (mask & -mask).bit_length() - 1 if mask else n
+    top = (~mask & ((1 << n) - 1)).bit_length()
+    cube = (1 << (1 << low)) - 1
+    for b in range(low, top):
+        if not mask >> b & 1:
+            cube |= cube << (1 << b)
+        elif value >> b & 1:
+            cube <<= 1 << b
+    return cube << (value >> top << top)
 
 
 def truth_table(f: Formula, universe: Universe) -> np.ndarray:
     """Boolean column of f over all 2^n assignments, in bitmask order.
 
-    The formula is evaluated once, without recursion, over packed words:
-    world x is bit x % 64 of little-endian uint64 word x // 64, and a
-    universe of at most 6 variables has one word, held as a Python int.
-    An explicit stack flattens the AST into a postfix program of one
-    step per node, where an And or Or chain is one step: two or more
-    literal operands become one cube (or clause) column, built from a
-    Python-int mask and value with a few numpy calls however many
-    literals there are, so a full term sets one word. Every other
-    literal's column is built at most once per call, and a chain folds
-    its other operands into a fresh column in place. One unpackbits
-    turns the result into a fresh, writable bool array of length 2^n.
+    The formula is evaluated once, without recursion, over bitsets: a
+    column is a Python int whose bit x is world x's value. An explicit
+    stack flattens the AST into a postfix program of one step per node,
+    where a literal is a one-literal And and every And or Or chain is one
+    step: its literals make one cube (or clause) column, built by _cube
+    from a mask and a value, so a full term is a single bit, and the chain
+    folds its other operands into it. Negation is an xor with the all-ones
+    column. One to_bytes and one unpackbits turn the result into a fresh,
+    writable bool array of length 2^n.
     """
     n = universe.n
     if n > MAX_VARS:
         raise EnumerationLimitError(
             f"universe has {n} variables, enumeration guard is {MAX_VARS}"
         )
-    program = []  # pre-order, last operand first: reversed, it is postfix
+    index = universe._index
+    # pre-order, last operand first: reversed, it is postfix. A chain step
+    # is (connective, how many operands it takes off the stack, the bits
+    # of its bare literals, the bits of its negated ones).
+    program: list = []
     todo = [f]
-    while todo:
-        g = todo.pop()
-        kind = type(g)
-        if kind is Not:
-            if type(g.operand) is not Var:
-                todo.append(g.operand)
-        elif kind in _FOLD:
-            todo += (g.left, g.right)
-        elif kind is And or kind is Or:  # one step: a cube step or g itself
-            operands = g.operands
-            others = []
-            for h in operands:
-                t = type(h)
-                if t is not Var and (t is not Not or type(h.operand) is not Var):
-                    others.append(h)
-            if len(operands) - len(others) < 2:
-                todo += operands
-            else:
+    try:
+        while todo:
+            g = todo.pop()
+            kind = type(g)
+            if kind is Var:
+                g = (And, 0, 1 << (n - 1 - index[g.name]), 0)
+            elif kind is Not:
+                if type(g.operand) is Var:
+                    g = (And, 0, 0, 1 << (n - 1 - index[g.operand.name]))
+                else:
+                    todo.append(g.operand)
+            elif kind is Implies or kind is Iff:
+                todo += (g.left, g.right)
+            elif kind is And or kind is Or:
+                positive = negative = 0
+                others = []
+                for h in g.operands:
+                    t = type(h)
+                    if t is Var:
+                        positive |= 1 << (n - 1 - index[h.name])
+                    elif t is Not and type(h.operand) is Var:
+                        negative |= 1 << (n - 1 - index[h.operand.name])
+                    else:
+                        others.append(h)
                 todo += others
-                g = _cube_step(g, len(others), universe)
-        elif kind is not Var and kind is not Const:
-            raise TypeError(f"not a formula node: {g!r}")
-        program.append(g)
+                g = (kind, len(others), positive, negative)
+            elif kind is not Const:
+                raise TypeError(f"not a formula node: {g!r}")
+            program.append(g)
+    except KeyError as exc:
+        raise UnknownVariableError(exc.args[0]) from None
 
-    high = max(n - 6, 0)
-    words = 1 << high
-    columns: tuple[dict, dict] = ({}, {})  # literal columns: negative, positive
-    stack: list = []
+    # the all-ones column; a program of And cubes alone never reads it
+    complements = any(type(g) is not tuple or g[0] is Or for g in program)
+    full = (1 << (1 << n)) - 1 if complements else 0
+    stack: list[int] = []
     for g in reversed(program):
         kind = type(g)
-        if kind is Var or (kind is Not and type(g.operand) is Var):
-            positive = kind is Var
-            name = g.name if positive else g.operand.name
-            column = columns[positive].get(name)
-            if column is None:
-                bit = n - 1 - universe.index(name)
-                column = columns[positive][name] = _variable_column(bit, words, positive)
-            stack.append(column)
-        elif kind in _FOLD:
-            right = stack.pop()
-            stack[-1] = _FOLD[kind](stack[-1], right)
-        elif kind is And or kind is Or:  # the first fold makes a fresh column
-            fold, fold_in_place = _CHAIN_FOLD[kind]
-            right = stack.pop()
-            k = len(g.operands)
-            if k == 2:
-                stack[-1] = fold(stack[-1], right)
-            else:
-                start = len(stack) - k + 1
-                acc = fold(stack[start], right)
-                for other in stack[start + 1 :]:
-                    acc = fold_in_place(acc, other)
-                stack[start:] = (acc,)
-        elif kind is tuple:  # a chain with a cube
-            chain, values, cube = g
-            fold_in_place = _CHAIN_FOLD[chain][1]
-            acc = _cube_column(*cube, high)
+        if kind is tuple:
+            chain, values, positive, negative = g
             start = len(stack) - values
-            for other in stack[start:]:
-                acc = fold_in_place(acc, other)
-            stack[start:] = (acc,)
+            operands = stack[start:]
+            del stack[start:]
+            if positive & negative:  # x and !x
+                operands.append(0 if chain is And else full)
+            elif positive | negative:  # the worlds matching every literal, or all others
+                cube = _cube(positive | negative, positive if chain is And else negative, n)
+                operands.append(cube if chain is And else full ^ cube)
+            acc = operands.pop()
+            if chain is And:
+                for other in operands:
+                    acc &= other
+            else:
+                for other in operands:
+                    acc |= other
+            stack.append(acc)
         elif kind is Not:
-            stack[-1] = ~stack[-1]
+            stack[-1] ^= full
+        elif kind is Implies:
+            right = stack.pop()
+            stack[-1] = (stack[-1] ^ full) | right
+        elif kind is Iff:
+            right = stack.pop()
+            stack[-1] ^= right ^ full
         else:
-            stack.append(_filled(words, _ONES if g.value else 0))
-    (packed,) = stack
-    if words == 1:
-        packed = np.array([packed & _ONES], dtype="<u8")
-    bits = np.unpackbits(packed.view(np.uint8), bitorder="little")
-    return bits[: 1 << n].view(bool)
+            stack.append(full if g.value else 0)
+    (column,) = stack
+    packed = np.frombuffer(column.to_bytes(((1 << n) + 7) >> 3, "little"), np.uint8)
+    return np.unpackbits(packed, count=1 << n, bitorder="little").view(bool)
 
 
 def table_bits(table: np.ndarray) -> np.ndarray:

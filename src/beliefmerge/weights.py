@@ -10,6 +10,7 @@ and public witnesses are always reported as integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -57,13 +58,14 @@ class ExpertWeights:
     """W_a : one source gets weight a, the others 1; which one is open.
 
     a=None defers to the distance-dependent default (see
-    ``default_expert_weight``); explicit values must be >= 2.
+    ``default_expert_weight``); explicit values must be integers >= 2
+    (a float or Fraction raises TypeError).
     """
 
     a: int | None = None
 
     def __post_init__(self):
-        if self.a is not None and self.a < 2:
+        if self.a is not None and operator.index(self.a) < 2:
             raise ValueError("expert weight must be at least 2")
 
 

@@ -7,7 +7,7 @@ the reference for the package's truth tables, and Fourier-Motzkin
 elimination, which the package's integer simplex replaced, stays here as
 the differential oracle for lp.decide. Replaced algorithms are kept as
 they were: ``recursive_truth_table`` (one numpy column per AST node) is
-the reference for the packed-word truth tables, ``full_row_lp_merge``
+the reference for the bitset truth tables, ``full_row_lp_merge``
 (one lp.decide per front row against every other front row) the
 reference for the all-weights merge's row generation, and
 ``row_generation_merge`` (row generation over every front row, with no

@@ -362,13 +362,14 @@ def _chains(universe):
 
 
 class TestChainTables:
-    """Chains become one cube or clause column plus in-place folds."""
+    """A chain's literals become one cube or clause column, and its other
+    operands fold into it."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_recursive_oracle(self, n, data):
-        # n <= 6 is one word; above it the cube's high bits pick words
+        # n = 1 and 2 fill less than the one byte that to_bytes writes
         u = Universe([f"v{i}" for i in range(n)])
         f = data.draw(_chains(u))
         assert np.array_equal(truth_table(f, u), recursive_truth_table(f, u)), formula_to_text(f)
@@ -438,11 +439,13 @@ def test_lp_front_mu_is_one_disjunction_of_full_terms():
 
 
 class TestPackedTables:
-    """Packed-word truth tables against the recursive per-node oracle."""
+    """Bitset truth tables, one Python int per column, against the
+    recursive per-node oracle."""
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", [*range(1, 10), 12, 16])
     def test_matches_recursive_oracle(self, n):
-        # n = 5, 6 and 7 straddle the 64-world word
+        # n = 1, 2 and 3 straddle the byte that to_bytes writes; 12 and 16
+        # are the widths the benchmark's workloads use
         u = Universe([f"v{i}" for i in range(n)])
         rng = random.Random(n)
         for _ in range(60):
@@ -466,7 +469,7 @@ class TestPackedTables:
             assert np.array_equal(truth_table(Var(name), u), recursive_truth_table(Var(name), u))
 
     def test_tables_are_fresh_and_writable(self):
-        # literal columns are shared within a call, never across calls
+        # every call unpacks its own bytes, so no two tables share memory
         u = Universe([f"v{i}" for i in range(8)])
         f = Var("v7")
         first = truth_table(f, u)
@@ -480,6 +483,22 @@ class TestPackedTables:
     def test_rejects_a_non_formula_node(self):
         with pytest.raises(TypeError):
             truth_table(And(Var("x"), "y"), XY)
+
+    def test_widest_universe_against_closed_form(self):
+        # variable j is bit n - 1 - j of a world, so its column is (x >> b) & 1
+        n = MAX_VARS
+        u = Universe([f"v{i}" for i in range(n)])
+        worlds = np.arange(1 << n, dtype=np.uint32)
+        for b in (0, 5, 6, 23):
+            column = ((worlds >> b) & 1).astype(bool)
+            name = u.variables[n - 1 - b]
+            assert np.array_equal(truth_table(Var(name), u), column)
+            assert np.array_equal(truth_table(Not(Var(name)), u), ~column)
+        bits = random.Random(n).getrandbits(n)
+        term = formula_from_models([Model(u, bits)], u)
+        assert np.array_equal(truth_table(term, u), worlds == bits)
+        clause = Or(*(Not(op) if isinstance(op, Var) else op.operand for op in term.operands))
+        assert np.array_equal(truth_table(clause, u), worlds != bits)
 
 
 class TestFormulaFromModels:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from beliefmerge import (
     ExpertWeights,
     ExplicitWeights,
     expand_scheme,
+    merge_scheme,
+    realize,
 )
 from beliefmerge.weights import (
     _weight,
@@ -101,6 +104,21 @@ class TestSchemes:
     def test_expert_minimum(self):
         with pytest.raises(ValueError):
             ExpertWeights(1)
+
+    @pytest.mark.parametrize("a", [2.5, Fraction(5, 2), 2.0])
+    def test_expert_weight_must_be_an_integer(self, a):
+        with pytest.raises(TypeError):
+            ExpertWeights(a)
+
+    def test_half_integer_expert_weights_are_an_exact_list(self):
+        # (1, 1) is minimal under the truncated (1, 2), not under (1, 5/2),
+        # which is why ExpertWeights(5/2) is refused rather than truncated
+        inst = realize([(0, 2), (1, 1), (3, 0)], 3)
+        selected = merge_scheme(inst, parse_scheme("list:5/2,1;1,5/2"), DH).bits
+        rows = inst.distances(DH)[np.searchsorted(inst.mu_bits, selected)]
+        assert {tuple(v) for v in rows.tolist()} == {(0, 2), (3, 0)}
+        truncated = merge_scheme(inst, parse_scheme("list:2,1;1,2"), DH).bits
+        assert len(truncated) > len(selected)
 
     def test_explicit_validation(self):
         with pytest.raises(ValueError):
