@@ -228,10 +228,10 @@ def _cmd_plot(args) -> int:
     if inst.m != 2:
         raise InstanceFormatError("plot needs a two-formula profile")
     kind, scheme = _resolve_config(args, spec.distance, spec.scheme)
-    vectors = inst.vectors(kind)
+    vectors = [tuple(d) for d in inst.distances(kind).tolist()]
     result = merge_scheme(inst, scheme, kind)
     rows = np.searchsorted(inst.mu_bits, result.bits).tolist()
-    render_svg(sorted(set(vectors)), {vectors[r] for r in rows}, args.out)
+    render_svg(vectors, {vectors[r] for r in rows}, args.out)
     return 0
 
 

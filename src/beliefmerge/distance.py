@@ -7,6 +7,12 @@ and k > 0 -> positive, which preserve d(I, I) = 0 and d(I, J) > 0).
 ``distance_matrix`` computes, by one distance-kernel call, the distances
 from candidate bitmasks (rows) to formulas given by their truth tables
 (columns): ``merge.Instance.distances`` over the mu models and profile.
+Given each formula's support (the variables it mentions), d(I, F)
+depends only on I's bits there, so the kernel may compute a column on
+the support's cube under the window table min(table[h .. h + n - r]),
+the best count over the n - r bits the formula leaves free.
+``DistanceKind.largest`` bounds every entry, so scoring never scans a
+matrix for its maximum.
 """
 
 from __future__ import annotations
@@ -86,6 +92,13 @@ class DistanceKind:
         """Remap vector for counts 0..n, as consumed by the kernels."""
         return np.array([self.mapped(h) for h in range(n + 1)], dtype=np.int64)
 
+    def largest(self, n: int) -> int:
+        """The largest value of table_array(n), for n >= 1: no distance
+        between worlds of n variables exceeds it."""
+        if self.name != "table":
+            return n if self.name == "hamming" else 1
+        return max(map(self.mapped, range(n + 1)))
+
     def __str__(self) -> str:
         if self.name != "table":
             return self.name
@@ -95,9 +108,14 @@ class DistanceKind:
 
 
 def distance_matrix(
-    kind: DistanceKind, cand_bits: np.ndarray, tables: Sequence[np.ndarray], n: int
+    kind: DistanceKind,
+    cand_bits: np.ndarray,
+    tables: Sequence[np.ndarray],
+    n: int,
+    supports: Sequence[int] | None = None,
 ) -> np.ndarray:
     """int64 matrix of the distance from each candidate bitmask (rows)
     to each formula given by its truth table (columns); raises
-    UnsatisfiableFormulaError on an unsatisfiable formula."""
-    return _kernels.min_mapped_matrix(cand_bits, tables, kind.table_array(n), n)
+    UnsatisfiableFormulaError on an unsatisfiable formula. supports[j],
+    when given, is the bitmask of the variables formula j mentions."""
+    return _kernels.min_mapped_matrix(cand_bits, tables, kind.table_array(n), n, supports)

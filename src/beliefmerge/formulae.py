@@ -196,7 +196,13 @@ def _cube(mask: int, value: int, n: int) -> int:
 
 
 def truth_table(f: Formula, universe: Universe) -> np.ndarray:
-    """Boolean column of f over all 2^n assignments, in bitmask order.
+    """Boolean column of f over all 2^n assignments, in bitmask order."""
+    return table_and_support(f, universe)[0]
+
+
+def table_and_support(f: Formula, universe: Universe) -> tuple[np.ndarray, int]:
+    """f's truth table and its support: the bitmask of the variables f
+    mentions, a superset of those its value depends on.
 
     The formula is evaluated once, without recursion, over bitsets: a
     column is a Python int whose bit x is world x's value. An explicit
@@ -206,7 +212,8 @@ def truth_table(f: Formula, universe: Universe) -> np.ndarray:
     from a mask and a value, so a full term is a single bit, and the chain
     folds its other operands into it. Negation is an xor with the all-ones
     column. One to_bytes and one unpackbits turn the result into a fresh,
-    writable bool array of length 2^n.
+    writable bool array of length 2^n. The support is the union of the
+    literal bits of the program's steps, read in the same pass.
     """
     n = universe.n
     if n > MAX_VARS:
@@ -255,10 +262,12 @@ def truth_table(f: Formula, universe: Universe) -> np.ndarray:
     complements = any(type(g) is not tuple or g[0] is Or for g in program)
     full = (1 << (1 << n)) - 1 if complements else 0
     stack: list[int] = []
+    support = 0
     for g in reversed(program):
         kind = type(g)
         if kind is tuple:
             chain, values, positive, negative = g
+            support |= positive | negative
             start = len(stack) - values
             operands = stack[start:]
             del stack[start:]
@@ -287,7 +296,7 @@ def truth_table(f: Formula, universe: Universe) -> np.ndarray:
             stack.append(full if g.value else 0)
     (column,) = stack
     packed = np.frombuffer(column.to_bytes(((1 << n) + 7) >> 3, "little"), np.uint8)
-    return np.unpackbits(packed, count=1 << n, bitorder="little").view(bool)
+    return np.unpackbits(packed, count=1 << n, bitorder="little").view(bool), support
 
 
 def table_bits(table: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ def realize(vectors: Sequence[Sequence[int]], n: int | None = None) -> Instance:
     mu = disjunction(terms)
 
     inst = Instance(universe, mu, profile)
-    got = sorted(inst.vectors(DistanceKind.hamming()))
+    got = sorted(map(tuple, inst.distances(DistanceKind.hamming()).tolist()))
     if got != vecs:
         raise GenerationError(
             f"realized instance has vectors {got}, expected {vecs}"

@@ -2,10 +2,14 @@
 
 An Instance bundles the universe, the integrity constraints and the
 profile, validates satisfiability up front, and keeps the truth tables
-it built. Every operator reads one read-only int64 distance matrix per
-distance kind: row r is the distance vector of the r-th mu model in bit
-order, column j the distance to F_j, all from one distance-kernel call
-over the profile truth tables. The merge core (``_scheme_merge``) reads
+it built, with each profile formula's support (the variables it
+mentions, read in the same pass). Every operator reads one read-only
+int64 distance matrix per distance kind: row r is the distance vector
+of the r-th mu model in bit order, column j the distance to F_j, all
+from one distance-kernel call over the profile truth tables, each
+column computed on its support's cube where that is cheaper. No entry
+exceeds the kind's largest value, the bound that picks int64 or exact
+Python-int scoring. The merge core (``_scheme_merge``) reads
 only mu bitmasks and a matrix, so a caller can merge row and column
 selections of one instance's matrix. Every scheme is decided by one
 argmin merge: an exact (vectors x rows) matrix product scores rows
@@ -48,7 +52,7 @@ from .errors import (
     InconsistentProfileError,
     UniverseMismatchError,
 )
-from .formulae import Formula, Model, Universe, table_bits, truth_table
+from .formulae import Formula, Model, Universe, table_and_support, table_bits, truth_table
 from .weights import AllPositiveWeights, ExplicitWeights, WeightScheme, expand_scheme
 
 
@@ -63,9 +67,10 @@ class Instance:
     Rejects an inconsistent mu and any unsatisfiable profile entry at
     construction: every operator in the package presupposes both. The
     read-only truth tables ``mu_table`` and ``profile_tables`` (one
-    boolean per assignment, in bitmask order) are kept for reuse, and
-    ``mu_bits`` holds the mu models' bitmasks as a sorted read-only
-    int64 array.
+    boolean per assignment, in bitmask order) are kept for reuse, with
+    ``profile_supports``, the bitmask of the variables each profile
+    formula mentions, and ``mu_bits`` holds the mu models' bitmasks as a
+    sorted read-only int64 array.
     """
 
     def __init__(
@@ -82,13 +87,15 @@ class Instance:
         self.mu_bits = _read_only(table_bits(self.mu_table))
         if self.mu_bits.shape[0] == 0:
             raise InconsistentConstraintsError("integrity constraints are unsatisfiable")
-        tables = []
+        tables, supports = [], []
         for idx, f in enumerate(profile):
-            table = _read_only(truth_table(f, universe))
+            table, support = table_and_support(f, universe)
             if not table.any():
                 raise InconsistentProfileError(idx)
-            tables.append(table)
+            tables.append(_read_only(table))
+            supports.append(support)
         self.profile_tables = tuple(tables)
+        self.profile_supports = tuple(supports)
         self._distances: dict[DistanceKind, np.ndarray] = {}
 
     @property
@@ -103,7 +110,10 @@ class Instance:
         the order of mu_bits, one column per profile entry."""
         if kind not in self._distances:
             self._distances[kind] = _read_only(
-                distance_matrix(kind, self.mu_bits, self.profile_tables, self.universe.n)
+                distance_matrix(
+                    kind, self.mu_bits, self.profile_tables, self.universe.n,
+                    self.profile_supports,
+                )
             )
         return self._distances[kind]
 
@@ -233,24 +243,24 @@ def minimal_for_some_positive(
     return merge_scheme(inst, AllPositiveWeights(), kind).witnesses.get(i)
 
 
-def _scores(matrix: np.ndarray, vectors, top: int | None = None) -> np.ndarray:
+def _scores(matrix: np.ndarray, vectors, bound: int, top: int | None = None) -> np.ndarray:
     """Exact vectors @ matrix.T for non-negative entries and weights, one
     row per vector: int64 while no score can reach 2^63, Python ints
-    (object) above. vectors are tuples, or an int64 array whose largest
-    row sum is top."""
+    (object) above. No entry of matrix exceeds bound; vectors are tuples,
+    or an int64 array whose largest row sum is top."""
     if top is None:
         top = max(map(sum, vectors))
-    if max(int(matrix.max()), 1) * top < 2**63:
+    if max(bound, 1) * top < 2**63:
         return np.asarray(vectors, dtype=np.int64) @ matrix.astype(np.int64, copy=False).T
     return np.array(vectors, dtype=object) @ matrix.astype(object).T
 
 
-def _argmin_merge(matrix: np.ndarray, vectors, top: int | None = None):
+def _argmin_merge(matrix: np.ndarray, vectors, bound: int, top: int | None = None):
     """Rows minimal under at least one integer weight vector, each with
     the first vector that selects it: (rows, vectors, witness_index),
-    row rows[j] with witness vectors[witness_index[j]]. vectors and top
-    are as _scores takes them."""
-    scores = _scores(matrix, vectors, top)
+    row rows[j] with witness vectors[witness_index[j]]. bound, vectors
+    and top are as _scores takes them."""
+    scores = _scores(matrix, vectors, bound, top)
     hit = scores == scores.min(axis=1, keepdims=True)
     rows = np.flatnonzero(hit.any(axis=0))
     return rows, vectors, hit[:, rows].argmax(axis=0)
@@ -317,9 +327,10 @@ def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _critical_weights(front_rows: np.ndarray) -> list[tuple[int, ...]]:
+def _critical_weights(front_rows: np.ndarray, bound: int) -> list[tuple[int, ...]]:
     """Positive integer weight vectors whose argmin merge of the distinct
-    Pareto front rows, witnesses included, is their all-positive merge.
+    Pareto front rows, none above bound, witnesses included, is their
+    all-positive merge.
 
     The rows are decided in three steps, each settling a row only with
     an exactly checked certificate:
@@ -341,7 +352,7 @@ def _critical_weights(front_rows: np.ndarray) -> list[tuple[int, ...]]:
     """
     m = front_rows.shape[1]
     vectors, screen, top = _screen_vectors(m)
-    hit, _, hit_index = _argmin_merge(front_rows, screen, top)
+    hit, _, hit_index = _argmin_merge(front_rows, screen, bound, top)
     weights = [vectors[j] for j in np.flatnonzero(np.bincount(hit_index)).tolist()]
     undecided = np.ones(len(front_rows), dtype=bool)
     undecided[hit] = False
@@ -358,7 +369,7 @@ def _critical_weights(front_rows: np.ndarray) -> list[tuple[int, ...]]:
             w = lp.decide(d, front_rows[active].tolist())[0]
             if w is None:
                 break
-            scores = _scores(front_rows, [w])[0]
+            scores = _scores(front_rows, [w], bound)[0]
             violated = np.flatnonzero(scores < scores[i])
             if len(violated) == 0:
                 break
@@ -371,17 +382,18 @@ def _critical_weights(front_rows: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def _scheme_merge(universe: Universe, mu_bits: np.ndarray, matrix: np.ndarray,
-                  scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
+                  scheme: WeightScheme, kind: DistanceKind, bound: int) -> MergeResult:
     """The scheme's merge of the worlds mu_bits whose distance vectors
-    are the rows of matrix, one column per profile entry. All-positive
-    weights score only the distinct front rows: no other row is minimal."""
+    are the rows of matrix, one column per profile entry, no entry above
+    bound. All-positive weights score only the distinct front rows: no
+    other row is minimal."""
     vectors = expand_scheme(scheme, kind, universe.n, matrix.shape[1])
     if vectors is not None:
-        rows, weights, witness_index = _argmin_merge(matrix, vectors)
+        rows, weights, witness_index = _argmin_merge(matrix, vectors, bound)
     else:
         distinct, _, inverse, front = distinct_front(matrix)
-        weights = _critical_weights(distinct[front])
-        hit, _, hit_index = _argmin_merge(distinct[front], weights)
+        weights = _critical_weights(distinct[front], bound)
+        hit, _, hit_index = _argmin_merge(distinct[front], weights, bound)
         slot = np.full(len(distinct), -1, dtype=np.intp)  # distinct row -> its witness
         slot[np.flatnonzero(front)[hit]] = hit_index
         rows = np.flatnonzero(slot[inverse] >= 0)
@@ -393,7 +405,10 @@ def _scheme_merge(universe: Universe, mu_bits: np.ndarray, matrix: np.ndarray,
 
 def merge_scheme(inst: Instance, scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
     """Union of the fixed-weight merges over every vector the scheme admits."""
-    return _scheme_merge(inst.universe, inst.mu_bits, inst.distances(kind), scheme, kind)
+    return _scheme_merge(
+        inst.universe, inst.mu_bits, inst.distances(kind), scheme, kind,
+        kind.largest(inst.universe.n),
+    )
 
 
 def undominated(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
@@ -443,10 +458,12 @@ def multi_source_merge(
         raise ValueError("each source must provide at least one formula")
     inst = Instance(universe, constraints, [f for s in sources for f in s])
     matrix = inst.distances(kind)
-    if int(matrix.max()) * max(map(len, sources)) >= 2**63:
+    widest = max(map(len, sources))
+    bound = kind.largest(universe.n) * widest
+    if bound >= 2**63 and int(matrix.max()) * widest >= 2**63:
         raise DistanceTableError("per-source distance sums do not fit in 64 bits")
     # 0/1 matrix sending each flat formula's column to its source's column
     to_source = np.repeat(
         np.eye(len(sources), dtype=np.int64), [len(s) for s in sources], axis=0
     )
-    return _scheme_merge(universe, inst.mu_bits, matrix @ to_source, scheme, kind)
+    return _scheme_merge(universe, inst.mu_bits, matrix @ to_source, scheme, kind, bound)

@@ -52,7 +52,10 @@ def _merged(
     """The merge of the mu models at rows against the profile entries at
     columns, as a boolean truth table over the 2^n worlds."""
     matrix = inst.distances(cfg.kind)[rows][:, columns]
-    result = _scheme_merge(inst.universe, inst.mu_bits[rows], matrix, cfg.scheme, cfg.kind)
+    result = _scheme_merge(
+        inst.universe, inst.mu_bits[rows], matrix, cfg.scheme, cfg.kind,
+        cfg.kind.largest(inst.universe.n),
+    )
     table = np.zeros_like(inst.mu_table)
     table[result.bits] = True
     return table

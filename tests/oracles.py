@@ -26,7 +26,8 @@ the drastic Pareto front replaced, is the differential oracle for
 maxcons and its disjunction. ``sweep_column`` (one hypercube sweep per
 column from scattered target bitmasks, read out with one masked pass per
 table value) is the reference for the batched, truth-table-seeded
-distance kernel, and ``fraction_witness`` (the point as Fractions,
+distance kernel, ``full_cube_matrix`` (every column on the whole n-bit
+cube) the reference for the kernel's per-column support cubes, and ``fraction_witness`` (the point as Fractions,
 denominators cleared) the reference for lp.decide's gcd-reduced witness.
 ``recursive_parse`` (a tokenizer plus recursive descent) and
 ``recursive_formula_to_text`` (one call per AST node) are the references
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from beliefmerge import DistanceKind, Model, Universe, lp, models_of
+from beliefmerge import DistanceKind, Model, Universe, _kernels, lp, models_of
 from beliefmerge.errors import FormulaSyntaxError
 from beliefmerge.formulae import (
     FALSE,
@@ -448,7 +449,7 @@ def row_generation_merge(matrix: np.ndarray):
             w = lp.decide(d, front_rows[active].tolist())[0]
             if w is None:
                 break
-            scores = _scores(front_rows, [w])[0]
+            scores = _scores(front_rows, [w], int(front_rows.max()))[0]
             violated = np.flatnonzero(scores < scores[i])
             if len(violated) == 0:
                 break
@@ -591,6 +592,36 @@ def sweep_column(cands: np.ndarray, targets: np.ndarray, table: np.ndarray, n: i
     for v in values[-2::-1]:
         mask = sum(1 << h for h in np.flatnonzero(table == v).tolist())
         out[(sets & mask) != 0] = v
+    return out
+
+
+def full_cube_matrix(cands, tables, table, n: int) -> np.ndarray:
+    """The distance kernel before per-column supports: every column on
+    the whole n-bit cube, pairwise or in sweep batches by the size rule,
+    through the package's unchanged _min_mapped_numpy, _sweep and
+    _read_sets; a table flat above 0 reads the truth table."""
+    cands = np.ascontiguousarray(cands, dtype=np.int64)
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    out = np.empty((cands.shape[0], len(tables)), dtype=np.int64, order="F")
+    flat = len(set(table[1:].tolist())) <= 1
+    monotone = bool((table[1:] >= table[:-1]).all())
+    sweep = []
+    for j, targets in enumerate(tables):
+        count = np.count_nonzero(targets)
+        assert count, "distance to an unsatisfiable formula is undefined"
+        if flat:
+            np.multiply(~targets[cands], table[-1], out=out[:, j])
+        elif cands.shape[0] * count >= n * ((1 << n) + _kernels._SWEEP_OVERHEAD):
+            sweep.append(j)
+        else:
+            out[:, j] = _kernels._min_mapped_numpy(
+                cands, np.flatnonzero(targets), table, monotone
+            )
+    per_batch = max(1, _kernels.CELLS >> n)
+    for lo in range(0, len(sweep), per_batch):
+        cols = sweep[lo : lo + per_batch]
+        sets = _kernels._sweep(np.array([tables[j] for j in cols], dtype=np.uint32), n)[:, cands]
+        out[:, cols] = _kernels._read_sets(sets, table, monotone).T
     return out
 
 

@@ -44,7 +44,14 @@ from beliefmerge import merge as merge_module
 from beliefmerge import postulates as postulates_module
 from beliefmerge._rng import Xoshiro256StarStar
 from beliefmerge.distance import distance_matrix
-from beliefmerge.formulae import TRUE, Or, formula_from_models, models_of, truth_table
+from beliefmerge.formulae import (
+    TRUE,
+    Or,
+    formula_from_models,
+    models_of,
+    table_and_support,
+    truth_table,
+)
 from beliefmerge.maxcons import maxcons_disjunction as _disj
 from beliefmerge.merge import Instance as _Instance
 from beliefmerge.postulates import Verdict
@@ -277,19 +284,22 @@ def _memo_by_identity(fn):
 
 def test_criterion_09_disjunctive_property(monkeypatch):
     # closest pairs = expert merge, exhaustively over model-set pairs. Each
-    # formula's truth table, and its distance column over the whole cube,
-    # is computed once rather than once per pair it is in; d(I, F) does
-    # not depend on the other candidates, so a merge reads its rows off it.
-    tables = _memo_by_identity(truth_table)
+    # formula's truth table and support, and its distance column over the
+    # whole cube, is computed once rather than once per pair it is in;
+    # d(I, F) does not depend on the other candidates, so a merge reads
+    # its rows off it.
     cube_column = _memo_by_identity(
         lambda table, n: distance_matrix(DH, np.arange(1 << n), [table], n)[:, 0]
     )
 
-    def memo_distance_matrix(kind, cand_bits, truth_tables, n):
+    def memo_distance_matrix(kind, cand_bits, truth_tables, n, supports=None):
         assert kind == DH
         return np.column_stack([cube_column(t, n)[cand_bits] for t in truth_tables])
 
-    monkeypatch.setattr(merge_module, "truth_table", tables)
+    monkeypatch.setattr(merge_module, "truth_table", _memo_by_identity(truth_table))
+    monkeypatch.setattr(
+        merge_module, "table_and_support", _memo_by_identity(table_and_support)
+    )
     for module in (merge_module, postulates_module):
         monkeypatch.setattr(module, "distance_matrix", memo_distance_matrix)
     for n in (2, 3):

@@ -123,6 +123,19 @@ class TestDistanceTables:
         with pytest.raises(DistanceTableError):
             partial.mapped(2)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_largest_is_the_table_maximum(self, n):
+        gapped = DistanceKind.from_table([[0, 0], [1, 1], [5, 9]])
+        kinds = [DD, DH, DS, gapped, DistanceKind.from_table([[0, 0], [1, 4]], default=2)]
+        for kind in kinds:
+            try:
+                want = int(kind.table_array(n).max())
+            except DistanceTableError:
+                with pytest.raises(DistanceTableError):
+                    kind.largest(n)
+                continue
+            assert kind.largest(n) == want
+
 
 def _column(kind: DistanceKind, f, universe: Universe) -> np.ndarray:
     """Distance from every world of the universe to f, in bitmask order."""

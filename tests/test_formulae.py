@@ -23,6 +23,7 @@ from beliefmerge.formulae import (
     Var,
     formula_from_models,
     model_from_literals,
+    table_and_support,
     truth_table,
 )
 
@@ -359,6 +360,46 @@ def _chains(universe):
         )
 
     return st.recursive(leaf, chains, max_leaves=16)
+
+
+def _mentioned(f, universe):
+    """The bitmask of the variables f's AST mentions, by recursion."""
+    if isinstance(f, Var):
+        return 1 << (universe.n - 1 - universe.index(f.name))
+    if isinstance(f, Const):
+        return 0
+    children = (f.operand,) if isinstance(f, Not) else getattr(f, "operands", None)
+    if children is None:
+        children = (f.left, f.right)
+    out = 0
+    for g in children:
+        out |= _mentioned(g, universe)
+    return out
+
+
+class TestSupport:
+    """table_and_support's second value: the variables the AST mentions,
+    off which the table does not change."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_mentioned_variables(self, n, data):
+        u = Universe([f"v{i}" for i in range(n)])
+        f = data.draw(st.one_of(_chains(u), _formulas(u)))
+        table, support = table_and_support(f, u)
+        assert support == _mentioned(f, u), formula_to_text(f)
+        assert np.array_equal(table, truth_table(f, u))
+        worlds = np.arange(1 << n)
+        for b in range(n):
+            if not support >> b & 1:
+                assert np.array_equal(table, table[worlds ^ (1 << b)])
+
+    def test_constants_and_tautologies(self):
+        u = Universe(["a", "b", "c"])
+        for text, support in [("true", 0), ("false", 0), ("b | !b", 0b010),
+                              ("!(a & c) -> true", 0b101), ("!!c", 0b001)]:
+            assert table_and_support(parse_formula(text, u), u)[1] == support
 
 
 class TestChainTables:

@@ -3,10 +3,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beliefmerge import _kernels
+from beliefmerge import (
+    DistanceKind,
+    Instance,
+    Model,
+    Universe,
+    _kernels,
+    parse_formula,
+    random_instance,
+    realize,
+)
+from beliefmerge.distance import distance_matrix
 from beliefmerge.errors import UnsatisfiableFormulaError
+from beliefmerge.formulae import TRUE
+from beliefmerge.instancefile import parse_distance_spec
 
-from oracles import sweep_column
+from oracles import brute_vector, full_cube_matrix, perfbench_inputs, sweep_column
 
 
 def _random_case(seed, n_cands, n_targets, bits=24):
@@ -335,3 +347,162 @@ class TestDispatch:
             [0b11, 0b00], [[True, False, False, False]], [0, 1, 2], 2
         )
         assert got.tolist() == [[2], [0]]
+
+
+def _instance_of(spec):
+    """An Instance from a perfbench instance dict."""
+    u = Universe(spec["variables"])
+    return Instance(
+        u, parse_formula(spec["constraints"], u), [parse_formula(t, u) for t in spec["profile"]]
+    )
+
+
+def _benchmark_instances(seed):
+    """perfbench's kernel_wide, argmin_many and lp_front instances for a
+    seed, each with its own distance kind (Hamming for lp_front)."""
+    inputs = perfbench_inputs()
+    specs = [inputs.kernel_instance(seed, s) for s in range(len(inputs.KERNEL_SLOTS))]
+    specs += [inputs.argmin_instance(seed, s) for s in range(len(inputs.ARGMIN_SLOTS))]
+    out = [(_instance_of(spec), parse_distance_spec(spec["distance"])) for spec in specs]
+    for i in range(len(inputs.LP_SLOTS) * inputs.LP_COPIES):
+        vectors, block = inputs.front_vectors(seed, i)
+        out.append((realize(vectors, block), DH))
+    return out
+
+
+DH = DistanceKind.hamming()
+DD = DistanceKind.drastic()
+# non-monotone, and its window min(table[h .. h + n - r]) differs from it
+NON_MONOTONE = DistanceKind.from_table([(0, 0), (1, 5), (2, 1), (3, 4)], default=2)
+# counts past 1 read only the default, so a window from h = 1 on is all tail
+TAIL = DistanceKind.from_table([(0, 0), (1, 4)], default=2)
+# a plateau of 9 between 1s: windows up to 4 counts wide stay non-monotone
+PEAKED = DistanceKind.from_table([(0, 0), (1, 1), (2, 9), (3, 9), (4, 9), (5, 9)], default=1)
+KINDS = (DH, DD, NON_MONOTONE, TAIL, PEAKED)
+
+
+def _against_full_cube(inst, kind, monkeypatch, forced):
+    """inst's kernel matrix on its supports against the full-cube oracle;
+    forced puts every column whose support is not all n on its cube."""
+    n = inst.universe.n
+    if forced:
+        monkeypatch.setattr(_kernels, "_CUBE_OVERHEAD", -(1 << 40))
+    got = distance_matrix(kind, inst.mu_bits, inst.profile_tables, n, inst.profile_supports)
+    monkeypatch.undo()
+    want = full_cube_matrix(inst.mu_bits, inst.profile_tables, kind.table_array(n), n)
+    assert got.flags.f_contiguous and got.dtype == np.int64
+    assert np.array_equal(got, want)
+    return got
+
+
+class TestSupportCubes:
+    """Each column on the cube of the variables its formula mentions,
+    against the whole-cube kernel."""
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("block", range(6))
+    def test_random_instances(self, block, forced, monkeypatch):
+        """random_instance seeds 0-299 over n = 1-12 and m = 1-5."""
+        for seed in range(50 * block, 50 * block + 50):
+            inst = random_instance(1 + seed % 12, 1 + seed % 5, seed=seed)
+            for kind in KINDS:
+                got = _against_full_cube(inst, kind, monkeypatch, forced)
+                if not forced:
+                    assert np.array_equal(got, inst.distances(kind))
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_instances(self, seed, forced, monkeypatch):
+        for inst, own in _benchmark_instances(seed):
+            for kind in {own, DH, DD, NON_MONOTONE}:
+                _against_full_cube(inst, kind, monkeypatch, forced)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_edge_supports(self, kind, monkeypatch):
+        """A constant (empty support), a tautology that mentions x, a
+        parity over all n, one variable, and a clause beside a cube."""
+        u = Universe([f"v{j}" for j in range(1, 8)])
+        texts = [
+            "true",
+            "v3 | !v3",
+            "(v3 | !v3) & v6",
+            "v1 <-> v2 <-> v3 <-> v4 <-> v5 <-> v6 <-> v7",
+            "v7",
+            "!v1 | v5",
+            "v2 & !v4 & v7",
+            "v1 <-> v2 <-> v3 <-> v4 <-> v5",
+        ]
+        inst = Instance(u, parse_formula("v1 | v2 | !v7", u), [parse_formula(t, u) for t in texts])
+        assert [s.bit_count() for s in inst.profile_supports] == [0, 1, 2, 7, 1, 2, 3, 5]
+        for forced in (False, True):
+            got = _against_full_cube(inst, kind, monkeypatch, forced)
+            for i, bits in enumerate(inst.mu_bits.tolist()):
+                want = brute_vector(kind, Model(u, bits), inst.profile)
+                assert tuple(got[i].tolist()) == want
+
+    def test_window_reaches_past_the_last_key(self, monkeypatch):
+        """Under 0:0, 1:4, *:2 a one-variable column at n = 5 is 0 on its
+        models and min(4, 2) = 2 elsewhere: a target matching the
+        candidate on v1 and differing off it by 2 to 4 counts."""
+        u = Universe([f"v{j}" for j in range(1, 6)])
+        inst = Instance(u, TRUE, [parse_formula("v1", u)])
+        got = _against_full_cube(inst, TAIL, monkeypatch, forced=True)
+        assert got[:, 0].tolist() == [2] * 16 + [0] * 16
+
+    def test_gather_chunks(self, monkeypatch):
+        """Candidates across several CELLS chunks read the same columns."""
+        inst = _benchmark_instances(1)[0][0]
+        whole = [_against_full_cube(inst, kind, monkeypatch, True) for kind in KINDS]
+        monkeypatch.setattr(_kernels, "CELLS", 1000)
+        for kind, want in zip(KINDS, whole):
+            got = distance_matrix(
+                kind, inst.mu_bits, inst.profile_tables, inst.universe.n, inst.profile_supports
+            )
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def _cube_calls(monkeypatch):
+        """The column indices of each _on_cube call, in order."""
+        calls = []
+        on_cube = _kernels._on_cube
+
+        def spy(cands, columns, *rest):
+            calls.append([j for j, _, _ in columns])
+            return on_cube(cands, columns, *rest)
+
+        monkeypatch.setattr(_kernels, "_on_cube", spy)
+        return calls
+
+    def test_columns_on_one_cube_share_it(self, monkeypatch):
+        u = Universe([f"v{j}" for j in range(1, 13)])
+        texts = ["v1 & v2", "v2 | !v1", "v1 <-> v2", "v3 & v4"]
+        inst = Instance(u, parse_formula("v5 | v6", u), [parse_formula(t, u) for t in texts])
+        calls = self._cube_calls(monkeypatch)
+        inst.distances(DH)
+        assert sorted(calls) == [[0, 1, 2], [3]]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cost_model_keeps_only_wide_cubes_whole(self, seed, monkeypatch):
+        """kernel_wide's columns (n = 12-13, 2048-6144 candidates) go to
+        their supports; argmin_many's (n = 10-11, 768-1536 candidates),
+        where the batched whole-cube sweep is cheaper, stay whole."""
+        inputs = perfbench_inputs()
+        calls = self._cube_calls(monkeypatch)
+        for spec in [inputs.argmin_instance(seed, s) for s in range(len(inputs.ARGMIN_SLOTS))]:
+            _instance_of(spec).distances(parse_distance_spec(spec["distance"]))
+        assert calls == []
+        for spec in [inputs.kernel_instance(seed, s) for s in range(len(inputs.KERNEL_SLOTS))]:
+            inst = _instance_of(spec)
+            inst.distances(parse_distance_spec(spec["distance"]))
+            assert sorted(j for call in calls for j in call) == list(range(inst.m))
+            del calls[:]
+
+
+class TestRanks:
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_rank_of_every_world(self, k):
+        """pext(x, mask) for every mask over k bits."""
+        for mask in range(1 << k):
+            bits = [b for b in range(k) if mask >> b & 1]
+            want = [sum((x >> b & 1) << i for i, b in enumerate(bits)) for x in range(1 << k)]
+            assert _kernels._ranks(mask, k).tolist() == want

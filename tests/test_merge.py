@@ -408,7 +408,8 @@ def _all_positive(matrix):
     weights, witness_index), each row standing for the world of its
     index."""
     result = merge_module._scheme_merge(
-        Universe(["x"]), np.arange(len(matrix)), matrix, AllPositiveWeights(), DH
+        Universe(["x"]), np.arange(len(matrix)), matrix, AllPositiveWeights(), DH,
+        int(matrix.max()),
     )
     return result.bits, result.weights, result.witness_index
 
@@ -544,12 +545,12 @@ class TestRowGeneration:
 
     def test_scores_past_two_to_the_63_are_exact(self):
         matrix = np.array([[2**62, 1], [1, 2**62]], dtype=np.int64)
-        scores = _scores(matrix, [(3, 1)])
+        scores = _scores(matrix, [(3, 1)], 2**62)
         assert scores.dtype == object
         assert scores[0].tolist() == [3 * 2**62 + 1, 3 + 2**62]
         # the bound max entry * max weight sum decides: 2^63 is past int64
-        assert _scores(matrix, [(1, 1)]).dtype == object
-        assert _scores(matrix - 1, [(1, 1)]).dtype == np.int64
+        assert _scores(matrix, [(1, 1)], 2**62).dtype == object
+        assert _scores(matrix - 1, [(1, 1)], 2**62 - 1).dtype == np.int64
 
 
 class TestScreens:
@@ -700,7 +701,7 @@ def _brute_argmin(matrix, vectors):
 
 class TestArgminMerge:
     def _check(self, matrix, vectors):
-        rows, got_vectors, witness_index = _argmin_merge(matrix, vectors)
+        rows, got_vectors, witness_index = _argmin_merge(matrix, vectors, int(matrix.max()))
         assert got_vectors is vectors
         assert (rows.tolist(), witness_index.tolist()) == _brute_argmin(matrix, vectors)
 
@@ -720,7 +721,7 @@ class TestArgminMerge:
     def test_ties_go_to_the_first_vector(self):
         # row 1 is minimal under all three vectors, row 0 ties it under the last
         matrix = np.array([[0, 4], [1, 1], [4, 0]], dtype=np.int64)
-        rows, _, witness_index = _argmin_merge(matrix, [(1, 2), (1, 1), (3, 1)])
+        rows, _, witness_index = _argmin_merge(matrix, [(1, 2), (1, 1), (3, 1)], 4)
         assert rows.tolist() == [0, 1] and witness_index.tolist() == [2, 0]
         self._check(matrix, [(1, 2), (1, 1), (3, 1)])
         self._check(matrix, [(1, 1), (1, 1), (2, 1)])  # a repeated vector
@@ -729,9 +730,53 @@ class TestArgminMerge:
         # 3 * 2^62 + 1 and 2^62 + 3 pass int64: the object path decides
         matrix = np.array([[2**62, 1], [1, 2**62], [2**61, 2**61]], dtype=np.int64)
         vectors = [(3, 1), (1, 3), (1, 1)]
-        assert _scores(matrix, vectors).dtype == object
+        assert _scores(matrix, vectors, 2**62).dtype == object
         self._check(matrix, vectors)
         self._check(matrix, [(2, 2)])
+
+
+class TestScoreBound:
+    """The int64 or Python-int choice reads the kind's largest value,
+    not the matrix."""
+
+    def _dtypes(self, monkeypatch):
+        seen = []
+        scores = merge_module._scores
+
+        def spy(*args):
+            out = scores(*args)
+            seen.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(merge_module, "_scores", spy)
+        return seen
+
+    def test_unreached_table_value_forces_python_ints(self, monkeypatch):
+        # every distance here is 0 or 1, but the table reaches 2^62 at count 3
+        u = Universe(["a", "b", "c"])
+        kind = DistanceKind.from_table([(0, 0), (1, 1), (2, 1), (3, 2**62)])
+        inst = Instance(u, TRUE, [parse_formula(t, u) for t in ("a | b", "!a | c", "b | !c")])
+        assert int(inst.distances(kind).max()) == 1 and kind.largest(3) == 2**62
+        assert np.array_equal(inst.distances(kind), inst.distances(DH))
+        seen = self._dtypes(monkeypatch)
+        for scheme in (EqualWeights(), ExplicitWeights([[1, 2, 3]]), AllPositiveWeights()):
+            result = merge_scheme(inst, scheme, kind)
+            assert seen and set(seen) == {np.dtype(object)}
+            del seen[:]
+            assert result == merge_scheme(inst, scheme, DH)  # the same matrix, bound 3
+            assert seen and set(seen) == {np.dtype(np.int64)}
+            del seen[:]
+
+    def test_hamming_bound_is_n(self, monkeypatch):
+        inst = random_instance(5, 3, seed=4)
+        seen = self._dtypes(monkeypatch)
+        merge_scheme(inst, EqualWeights(), DH)
+        assert seen == [np.int64]
+        # (2^61 + 2) * 5 passes 2^63 although no score here reaches 2^62
+        matrix = inst.distances(DH)
+        scores = merge_module._scores(matrix, [(2**61, 1, 1)], 5)
+        assert scores.dtype == object
+        assert scores[0].tolist() == [2**61 * a + b + c for a, b, c in matrix.tolist()]
 
 
 class TestMergeResult:
@@ -844,6 +889,18 @@ class TestMultiSource:
             )
             plain = merge_scheme(inst, scheme, DH)
             assert split.models == plain.models
+
+    def test_unreached_large_value_keeps_sums_in_int64(self):
+        """Source sums are refused only when the entries really reach
+        2^63: 2^62 is in the table but no distance here is past 1."""
+        u = Universe(["a", "b"])
+        kind = DistanceKind.from_table([(0, 0), (1, 1), (2, 2**62)], default=2**62)
+        sources = [[parse_formula("a", u), parse_formula("b", u)], [parse_formula("!a", u)]]
+        result = multi_source_merge(u, TRUE, sources, EqualWeights(), kind)
+        # equal source weights score a world by the sum of all three distances
+        flat = Instance(u, TRUE, [f for s in sources for f in s]).distances(kind)
+        scores = flat[:, 0] + flat[:, 1] + flat[:, 2]
+        assert result.bits.tolist() == np.flatnonzero(scores == scores.min()).tolist()
 
     def test_rejects_empty_source(self):
         with pytest.raises(ValueError):
