@@ -23,13 +23,7 @@ from .errors import (
 )
 from .formulae import TRUE, Model, Not, Or, Universe, parse_formula
 from .geometry2d import render_svg
-from .instancefile import (
-    instance_payload,
-    load_instance_file,
-    parse_distance_spec,
-    read_json,
-    save_instance_file,
-)
+from .instancefile import instance_payload, load_instance_file, parse_distance_spec, read_json
 from .instancegen import random_instance, realize, replicated_blocks
 from .maxcons import maxcons, maxcons_disjunction
 from .merge import Instance, MergeResult, merge_scheme, multi_source_merge
@@ -206,19 +200,12 @@ def _parse_vectors(text: str) -> list[list[int]]:
 
 def _cmd_realize(args) -> int:
     inst = realize(_parse_vectors(args.vectors), args.block_size)
-    if args.out:
-        save_instance_file(args.out, inst)
-    else:
-        _emit(_json_dump(instance_payload(inst)), None)
+    _emit(_json_dump(instance_payload(inst)), args.out)
     return 0
 
 
 def _cmd_blocks(args) -> int:
-    inst = replicated_blocks(args.k)
-    if args.out:
-        save_instance_file(args.out, inst)
-    else:
-        _emit(_json_dump(instance_payload(inst)), None)
+    _emit(_json_dump(instance_payload(replicated_blocks(args.k))), args.out)
     return 0
 
 

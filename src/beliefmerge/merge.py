@@ -4,34 +4,35 @@ An Instance bundles the universe, the integrity constraints and the
 profile, validates satisfiability up front, and keeps the truth tables
 it built, with each profile formula's support (the variables it
 mentions, read in the same pass). Every operator reads one read-only
-int64 distance matrix per distance kind: row r is the distance vector
-of the r-th mu model in bit order, column j the distance to F_j, all
-from one distance-kernel call over the profile truth tables, each
-column computed on its support's cube where that is cheaper. No entry
-exceeds the kind's largest value, the bound that picks int64 or exact
-Python-int scoring. The merge core (``_scheme_merge``) reads
-only mu bitmasks and a matrix, so a caller can merge row and column
-selections of one instance's matrix. Every scheme is decided by one
-argmin merge: an exact (vectors x rows) matrix product scores rows
-against a finite list of integer weight vectors, and a row some vector
-makes minimal is selected, witnessed by the first such vector. Finite
-schemes score every row against their own list. The all-positive scheme
-scores the distinct Pareto front rows against its critical weights,
-spreads the verdicts to every row through distinct_front's inverse, and
-certifies the weights in three exact steps: a select screen (the first
-64 small positive weight vectors), an exclude screen (a midpoint of two
-front rows that strictly dominates the row), and row generation for the
-rest: an exact LP (lp.decide) over a few active front rows, a witness
-checked against the whole front by one exact product, the most violated
-rows added until none is left, and every undecided row that ties under a
-found witness decided with it. An excluded model's certificate comes
-from lp.decide: at most m other models whose convex combination of
-vectors beats it. Rows are deduplicated on mixed-radix packed keys, by
-counting when the keys span little more than the rows and by a stable
-lexsort otherwise. Scores are (vectors x rows), so every reduction runs
-along the long axis of a tall matrix. A MergeResult holds the selected
-bitmasks as a sorted int64 array with an index into its witness vectors
-per row; its Model views are built on first use.
+int64 distance matrix per distance kind: row r is the distance vector of
+the r-th mu model in bit order, column j the distance to F_j, all from
+one distance-kernel call over the profile truth tables, each column
+computed on its support's cube where that is cheaper. No entry exceeds
+the kind's largest value, the bound that picks int64 or exact Python-int
+scoring and sets the default expert weight. The merge core
+(``_scheme_merge``) reads only mu bitmasks, a matrix and that bound, so
+a caller can merge row and column selections of one instance's matrix.
+Every scheme is decided by one argmin merge: an exact (vectors x rows)
+matrix product scores rows against a finite list of integer weight
+vectors, and a row some vector makes minimal is selected, witnessed by
+the first such vector. Finite schemes score every row against their own
+list. The all-positive scheme scores the distinct Pareto front rows
+against its critical weights, spreads the verdicts to every row through
+distinct_front's inverse, and certifies the weights in three exact
+steps: a select screen (the first 64 small positive weight vectors), an
+exclude screen (a midpoint of two front rows that strictly dominates the
+row), and row generation for the rest: an exact LP (lp.decide) over a
+few active front rows, a witness checked against the whole front by one
+exact product, the most violated rows added until none is left, and
+every undecided row that ties under a found witness decided with it. An
+excluded model's certificate comes from lp.decide: at most m other
+models whose convex combination of vectors beats it. Rows are
+deduplicated on mixed-radix packed keys, by counting when the keys span
+little more than the rows and by a stable lexsort otherwise. Scores are
+(vectors x rows), so every reduction runs along the long axis of a tall
+matrix. A MergeResult holds the selected bitmasks as a sorted int64
+array with an index into its witness vectors per row; its Model views
+are built on first use.
 """
 
 from __future__ import annotations
@@ -257,13 +258,13 @@ def _scores(matrix: np.ndarray, vectors, bound: int, top: int | None = None) -> 
 
 def _argmin_merge(matrix: np.ndarray, vectors, bound: int, top: int | None = None):
     """Rows minimal under at least one integer weight vector, each with
-    the first vector that selects it: (rows, vectors, witness_index),
-    row rows[j] with witness vectors[witness_index[j]]. bound, vectors
-    and top are as _scores takes them."""
+    the first vector that selects it: (rows, witness_index), row rows[j]
+    with witness vectors[witness_index[j]]. bound, vectors and top are
+    as _scores takes them."""
     scores = _scores(matrix, vectors, bound, top)
     hit = scores == scores.min(axis=1, keepdims=True)
     rows = np.flatnonzero(hit.any(axis=0))
-    return rows, vectors, hit[:, rows].argmax(axis=0)
+    return rows, hit[:, rows].argmax(axis=0)
 
 
 _SCREEN_SIZE = 64  # weight vectors the select screen tries before any LP
@@ -300,15 +301,16 @@ def _screen_vectors(m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, in
     return vectors, _read_only(np.array(vectors, dtype=np.int64)), sum(vectors[-1])
 
 
-def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
+def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray, bound: int) -> np.ndarray:
     """For each front row d = front_rows[i], i in asked, the first pair
     (a, b) of front row indices with gap = 2d - front_rows[a] -
     front_rows[b] >= 0 in every coordinate and != 0, so that their
     midpoint strictly dominates d; (-1, -1) where no pair does. Entries
-    are non-negative, so only rows <= 2d can take part. Python ints
-    (object) once 2d can reach 2^63; candidate pairs are compared in
-    chunks of at most _kernels.CELLS cells."""
-    if 2 * int(front_rows.max()) >= 2**63:
+    are non-negative and none is above bound, so only rows <= 2d can
+    take part. Python ints (object) once 2 * bound can reach 2^63;
+    candidate pairs are compared in chunks of at most _kernels.CELLS
+    cells."""
+    if 2 * bound >= 2**63:
         front_rows = front_rows.astype(object)
     pairs = np.full((len(asked), 2), -1, dtype=np.intp)
     for k, row in enumerate(asked.tolist()):
@@ -352,13 +354,13 @@ def _critical_weights(front_rows: np.ndarray, bound: int) -> list[tuple[int, ...
     """
     m = front_rows.shape[1]
     vectors, screen, top = _screen_vectors(m)
-    hit, _, hit_index = _argmin_merge(front_rows, screen, bound, top)
+    hit, hit_index = _argmin_merge(front_rows, screen, bound, top)
     weights = [vectors[j] for j in np.flatnonzero(np.bincount(hit_index)).tolist()]
     undecided = np.ones(len(front_rows), dtype=bool)
     undecided[hit] = False
     rest = np.flatnonzero(undecided)
     if len(rest):
-        undecided[rest[_midpoint_pairs(front_rows, rest)[:, 0] >= 0]] = False
+        undecided[rest[_midpoint_pairs(front_rows, rest, bound)[:, 0] >= 0]] = False
     for i in np.flatnonzero(undecided).tolist():
         if not undecided[i]:
             continue
@@ -382,18 +384,20 @@ def _critical_weights(front_rows: np.ndarray, bound: int) -> list[tuple[int, ...
 
 
 def _scheme_merge(universe: Universe, mu_bits: np.ndarray, matrix: np.ndarray,
-                  scheme: WeightScheme, kind: DistanceKind, bound: int) -> MergeResult:
+                  scheme: WeightScheme, bound: int) -> MergeResult:
     """The scheme's merge of the worlds mu_bits whose distance vectors
     are the rows of matrix, one column per profile entry, no entry above
-    bound. All-positive weights score only the distinct front rows: no
-    other row is minimal."""
-    vectors = expand_scheme(scheme, kind, universe.n, matrix.shape[1])
-    if vectors is not None:
-        rows, weights, witness_index = _argmin_merge(matrix, vectors, bound)
+    bound. bound is all the merge knows of the distance: it sizes the
+    scores and the default expert weight (expand_scheme). All-positive
+    weights score only the distinct front rows: no other row is
+    minimal."""
+    weights = expand_scheme(scheme, bound, matrix.shape[1])
+    if weights is not None:
+        rows, witness_index = _argmin_merge(matrix, weights, bound)
     else:
         distinct, _, inverse, front = distinct_front(matrix)
         weights = _critical_weights(distinct[front], bound)
-        hit, _, hit_index = _argmin_merge(distinct[front], weights, bound)
+        hit, hit_index = _argmin_merge(distinct[front], weights, bound)
         slot = np.full(len(distinct), -1, dtype=np.intp)  # distinct row -> its witness
         slot[np.flatnonzero(front)[hit]] = hit_index
         rows = np.flatnonzero(slot[inverse] >= 0)
@@ -405,10 +409,8 @@ def _scheme_merge(universe: Universe, mu_bits: np.ndarray, matrix: np.ndarray,
 
 def merge_scheme(inst: Instance, scheme: WeightScheme, kind: DistanceKind) -> MergeResult:
     """Union of the fixed-weight merges over every vector the scheme admits."""
-    return _scheme_merge(
-        inst.universe, inst.mu_bits, inst.distances(kind), scheme, kind,
-        kind.largest(inst.universe.n),
-    )
+    bound = kind.largest(inst.universe.n)
+    return _scheme_merge(inst.universe, inst.mu_bits, inst.distances(kind), scheme, bound)
 
 
 def undominated(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
@@ -466,4 +468,4 @@ def multi_source_merge(
     to_source = np.repeat(
         np.eye(len(sources), dtype=np.int64), [len(s) for s in sources], axis=0
     )
-    return _scheme_merge(universe, inst.mu_bits, matrix @ to_source, scheme, kind, bound)
+    return _scheme_merge(universe, inst.mu_bits, matrix @ to_source, scheme, bound)

@@ -52,10 +52,8 @@ def _merged(
     """The merge of the mu models at rows against the profile entries at
     columns, as a boolean truth table over the 2^n worlds."""
     matrix = inst.distances(cfg.kind)[rows][:, columns]
-    result = _scheme_merge(
-        inst.universe, inst.mu_bits[rows], matrix, cfg.scheme, cfg.kind,
-        cfg.kind.largest(inst.universe.n),
-    )
+    bound = cfg.kind.largest(inst.universe.n)
+    result = _scheme_merge(inst.universe, inst.mu_bits[rows], matrix, cfg.scheme, bound)
     table = np.zeros_like(inst.mu_table)
     table[result.bits] = True
     return table
@@ -137,18 +135,18 @@ def product_scheme(
     right: WeightScheme,
     k_left: int,
     k_right: int,
-    kind: DistanceKind,
-    n: int,
+    bound: int,
 ) -> WeightScheme:
-    """The scheme whose vectors concatenate one vector from each part.
+    """The scheme whose vectors concatenate one vector from each part,
+    each part expanded as over distance vectors with no entry above bound.
 
     The product of two all-positive sets is the all-positive set of the
     joint dimension; any two finite parts multiply into an explicit list.
     """
     if isinstance(left, AllPositiveWeights) and isinstance(right, AllPositiveWeights):
         return AllPositiveWeights()
-    lv = expand_scheme(left, kind, n, k_left)
-    rv = expand_scheme(right, kind, n, k_right)
+    lv = expand_scheme(left, bound, k_left)
+    rv = expand_scheme(right, bound, k_right)
     if lv is None or rv is None:
         raise ValueError("cannot mix the all-positive scheme with a finite one in a product")
     # each part's denominators are cleared on its own scale, so an explicit
@@ -171,7 +169,7 @@ def _split_check(
     if not 1 <= split < inst.m:
         raise ValueError(f"split must be in 1..{inst.m - 1}")
     combined_scheme = product_scheme(
-        scheme_left, scheme_right, split, inst.m - split, kind, inst.universe.n
+        scheme_left, scheme_right, split, inst.m - split, kind.largest(inst.universe.n)
     )
     both = (_merged(OperatorConfig(kind, scheme_left), inst, columns=slice(None, split))
             & _merged(OperatorConfig(kind, scheme_right), inst, columns=slice(split, None)))
@@ -308,8 +306,9 @@ def closest_pairs_merge(inst: Instance) -> frozenset[Model]:
     # formula is the global minimum
     n = inst.universe.n
     hamming = DistanceKind.hamming()
-    d1 = distance_matrix(hamming, b1, [t2], n)[:, 0]
-    d2 = distance_matrix(hamming, b2, [t1], n)[:, 0]
+    s1, s2 = inst.profile_supports
+    d1 = distance_matrix(hamming, b1, [t2], n, [s2])[:, 0]
+    d2 = distance_matrix(hamming, b2, [t1], n, [s1])[:, 0]
     best = d1.min()
     chosen = np.concatenate([b1[d1 == best], b2[d2 == best]])
     return frozenset(Model(inst.universe, b) for b in chosen.tolist())

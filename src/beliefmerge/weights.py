@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .distance import DistanceKind
 from .lp import integer_witness
 
 WeightVector = tuple[Union[int, Fraction], ...]
@@ -57,9 +56,10 @@ class EqualWeights:
 class ExpertWeights:
     """W_a : one source gets weight a, the others 1; which one is open.
 
-    a=None defers to the distance-dependent default (see
-    ``default_expert_weight``); explicit values must be integers >= 2
-    (a float or Fraction raises TypeError).
+    a=None makes the expert overrule all other sources together:
+    ``expand_scheme`` sets a from the bound on a distance vector's
+    entries. Explicit values must be integers >= 2 (a float or Fraction
+    raises TypeError).
     """
 
     a: int | None = None
@@ -90,19 +90,13 @@ class ExplicitWeights:
 WeightScheme = Union[EqualWeights, ExpertWeights, AllPositiveWeights, ExplicitWeights]
 
 
-def default_expert_weight(kind: DistanceKind, n: int, m: int) -> int:
-    """Expert weight large enough to overrule all other sources combined:
-    m times the largest distance over n variables, plus one."""
-    return max(kind.mapped(h) for h in range(n + 1)) * m + 1
-
-
-def expand_scheme(
-    scheme: WeightScheme, kind: DistanceKind, n: int, m: int
-) -> list[tuple[int, ...]] | None:
+def expand_scheme(scheme: WeightScheme, bound: int, m: int) -> list[tuple[int, ...]] | None:
     """Finite integer vector list of a scheme over m sources, or None for
     the symbolic all-positive set. An explicit vector has its
-    denominators cleared (``lp.integer_witness``); an expert scheme
-    without a weight takes ``default_expert_weight(kind, n, m)``."""
+    denominators cleared (``lp.integer_witness``). An expert scheme
+    without a weight takes bound * m + 1, where no coordinate of a
+    distance vector exceeds bound: the expert then outweighs every other
+    source together."""
     if m < 1:
         raise ValueError("profile length must be at least 1")
     match scheme:
@@ -110,7 +104,7 @@ def expand_scheme(
             return [(1,) * m]
         case ExpertWeights(a):
             if a is None:
-                a = default_expert_weight(kind, n, m)
+                a = bound * m + 1
             return [tuple(a if j == i else 1 for j in range(m)) for i in range(m)]
         case ExplicitWeights(vectors):
             for v in vectors:

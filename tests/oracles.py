@@ -415,7 +415,8 @@ _NEAREST_CELLS = 4096  # L1 distances sorted at once: block rows x front rows
 
 def row_generation_merge(matrix: np.ndarray):
     """All-positive scheme over the Pareto front, by row generation;
-    returns (rows, weights, witness_index) as _argmin_merge does.
+    returns (rows, weights, witness_index): the rows and witness indices
+    as _argmin_merge returns them, and the weights the indices point to.
 
     A row off the front is excluded: a front row strictly dominates it.
     Each undecided front row d is asked of lp.decide against an active
@@ -488,7 +489,9 @@ def _dot(w: Sequence[int], d: Sequence[int]) -> int:
 
 def spread_lp_merge(matrix: np.ndarray):
     """All-positive scheme with a witness slot per distinct row; returns
-    (rows, weights, witness_index) as merge._argmin_merge does.
+    (rows, weights, witness_index): the rows and witness indices as
+    merge._argmin_merge returns them, and the weights the indices point
+    to.
 
     The distinct front rows (numpy's unique rows, then those no other
     distinct row strictly dominates) are decided in Python ints: a

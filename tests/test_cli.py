@@ -14,10 +14,13 @@ from beliefmerge import (
     ExplicitWeights,
     merge_scheme,
     random_instance,
+    realize,
+    replicated_blocks,
 )
 from beliefmerge import cli
 from beliefmerge.cli import POSTULATES, _merge_json, main
 from beliefmerge.formulae import Universe, model_from_literals, parse_formula
+from beliefmerge.instancefile import save_instance_file
 
 from oracles import merge_json
 
@@ -78,6 +81,24 @@ def test_wide_json_golden(capsys, name):
         )
         assert code == 0
         assert out == (wide / f"{name}-{scheme}.json").read_text(encoding="utf-8"), scheme
+
+
+def test_sources_expert_json_golden(capsys, tmp_path):
+    """merge --json --scheme expert on a sources file, pinned byte for
+    byte: one source says a four times and the other says !a once. The
+    per-source sums reach 4, so the default expert weight is 4 * 2 + 1
+    and each world is selected when its own source is the expert."""
+    path = tmp_path / "sources.json"
+    path.write_text(json.dumps({
+        "variables": ["a"],
+        "constraints": "true",
+        "sources": [["a", "a", "a", "a"], ["!a"]],
+    }))
+    code, out, _ = run(
+        capsys, "merge", "--instance", str(path), "--scheme", "expert", "--json"
+    )
+    assert code == 0
+    assert out == (GOLDEN / "sources-expert.json").read_text(encoding="utf-8")
 
 
 def test_text_golden(capsys, intro_file):
@@ -299,6 +320,25 @@ class TestGenerators:
         code, out, _ = run(capsys, "realize", "--vectors", "1,1")
         assert code == 0
         assert json.loads(out)["profile"]
+
+    @pytest.mark.parametrize(
+        "argv,inst",
+        [
+            (["realize", "--vectors", "3,0;1,1;0,3"],
+             lambda: realize([[3, 0], [1, 1], [0, 3]])),
+            (["blocks", "--k", "2"], lambda: replicated_blocks(2)),
+        ],
+        ids=["realize", "blocks"],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv, inst):
+        """--out writes what stdout shows, which is save_instance_file's file."""
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out.json"
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        saved = tmp_path / "saved.json"
+        save_instance_file(str(saved), inst())
+        assert path.read_bytes() == saved.read_bytes() == out.encode("utf-8")
 
 
 class TestCheckCommand:

@@ -179,7 +179,7 @@ class TestFiniteSchemesAgainstBruteForce:
     def test_python_int_scores_stay_exact(self):
         inst = realize(DEEP)
         for text in HUGE_SCHEMES:
-            vectors = expand_scheme(parse_scheme(text), DH, inst.universe.n, 3)
+            vectors = expand_scheme(parse_scheme(text), DH.largest(inst.universe.n), 3)
             bound = int(inst.distances(DH).max()) * max(
                 sum(integer_witness(w)) for w in vectors
             )
@@ -189,7 +189,7 @@ class TestFiniteSchemesAgainstBruteForce:
         assert merge_fixed(inst, [1, 1, 10**19], DH) == {by_vector(inst, DH)[(2, 0, 1)]}
 
     def _check(self, inst, scheme, kind):
-        vectors = expand_scheme(scheme, kind, inst.universe.n, inst.m)
+        vectors = expand_scheme(scheme, kind.largest(inst.universe.n), inst.m)
         result = merge_scheme(inst, scheme, kind)
         assert result.witnesses == _brute_scheme_merge(inst, vectors, kind)
         assert result.models == frozenset(result.witnesses)
@@ -408,7 +408,7 @@ def _all_positive(matrix):
     weights, witness_index), each row standing for the world of its
     index."""
     result = merge_module._scheme_merge(
-        Universe(["x"]), np.arange(len(matrix)), matrix, AllPositiveWeights(), DH,
+        Universe(["x"]), np.arange(len(matrix)), matrix, AllPositiveWeights(),
         int(matrix.max()),
     )
     return result.bits, result.weights, result.witness_index
@@ -435,8 +435,8 @@ class TestRowGeneration:
         self.exclusions = []
         pairs_of = merge_module._midpoint_pairs
 
-        def recorded(front_rows, asked):
-            pairs = pairs_of(front_rows, asked)
+        def recorded(front_rows, asked, bound):
+            pairs = pairs_of(front_rows, asked, bound)
             values = front_rows.tolist()
             self.exclusions.extend(
                 (values[i], values[a], values[b])
@@ -558,16 +558,18 @@ class TestScreens:
 
     def test_a_midpoint_equal_to_the_row_does_not_exclude_it(self):
         front = np.array([[0, 4], [4, 0], [2, 2], [1, 3]], dtype=np.int64)
-        assert _midpoint_pairs(front, np.array([2, 3])).tolist() == [[-1, -1], [-1, -1]]
+        assert _midpoint_pairs(front, np.array([2, 3]), 4).tolist() == [[-1, -1], [-1, -1]]
         front = np.array([[0, 4], [4, 0], [3, 3]], dtype=np.int64)
-        assert _midpoint_pairs(front, np.array([2])).tolist() == [[0, 1]]
+        assert _midpoint_pairs(front, np.array([2]), 4).tolist() == [[0, 1]]
 
     def test_pairs_in_small_blocks(self, monkeypatch):
         front = _antichain(Xoshiro256StarStar(1), 4, 6, 12, 40)
         asked = np.arange(len(front))
-        want = _midpoint_pairs(front, asked)
+        want = _midpoint_pairs(front, asked, 6)
         monkeypatch.setattr(_kernels, "CELLS", 1)
-        assert np.array_equal(_midpoint_pairs(front, asked), want)
+        assert np.array_equal(_midpoint_pairs(front, asked, 6), want)
+        # a bound whose double reaches 2^63 finds the same pairs in Python ints
+        assert np.array_equal(_midpoint_pairs(front, asked, 2**62), want)
         assert (want[:, 0] >= 0).any()
 
     @pytest.mark.parametrize("m", range(1, 9))
@@ -701,8 +703,7 @@ def _brute_argmin(matrix, vectors):
 
 class TestArgminMerge:
     def _check(self, matrix, vectors):
-        rows, got_vectors, witness_index = _argmin_merge(matrix, vectors, int(matrix.max()))
-        assert got_vectors is vectors
+        rows, witness_index = _argmin_merge(matrix, vectors, int(matrix.max()))
         assert (rows.tolist(), witness_index.tolist()) == _brute_argmin(matrix, vectors)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -721,7 +722,7 @@ class TestArgminMerge:
     def test_ties_go_to_the_first_vector(self):
         # row 1 is minimal under all three vectors, row 0 ties it under the last
         matrix = np.array([[0, 4], [1, 1], [4, 0]], dtype=np.int64)
-        rows, _, witness_index = _argmin_merge(matrix, [(1, 2), (1, 1), (3, 1)], 4)
+        rows, witness_index = _argmin_merge(matrix, [(1, 2), (1, 1), (3, 1)], 4)
         assert rows.tolist() == [0, 1] and witness_index.tolist() == [2, 0]
         self._check(matrix, [(1, 2), (1, 1), (3, 1)])
         self._check(matrix, [(1, 1), (1, 1), (2, 1)])  # a repeated vector
@@ -901,6 +902,15 @@ class TestMultiSource:
         flat = Instance(u, TRUE, [f for s in sources for f in s]).distances(kind)
         scores = flat[:, 0] + flat[:, 1] + flat[:, 2]
         assert result.bits.tolist() == np.flatnonzero(scores == scores.min()).tolist()
+
+    def test_default_expert_overrules_the_other_sources_together(self):
+        # the source sums are (0, 1) at a and (4, 0) at !a, so no entry is
+        # above 1 * 4 and the expert weight is 4 * 2 + 1 = 9; each world wins
+        # when its own source is the expert
+        u = Universe(["a"])
+        sources = [[parse_formula("a", u)] * 4, [parse_formula("!a", u)]]
+        result = multi_source_merge(u, TRUE, sources, ExpertWeights(), DH)
+        assert result.witnesses == {Model(u, 0b1): (9, 1), Model(u, 0b0): (1, 9)}
 
     def test_rejects_empty_source(self):
         with pytest.raises(ValueError):

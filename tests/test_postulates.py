@@ -190,21 +190,21 @@ class TestIC5IC6:
 
     def test_product_scheme_shapes(self):
         combined = product_scheme(
-            ExplicitWeights([[2], [1]]), ExplicitWeights([[1, 3]]), 1, 2, DH, 3
+            ExplicitWeights([[2], [1]]), ExplicitWeights([[1, 3]]), 1, 2, DH.largest(3)
         )
         assert isinstance(combined, ExplicitWeights)
         assert sorted(tuple(int(w) for w in v) for v in combined.vectors) == [
             (1, 1, 3),
             (2, 1, 3),
         ]
-        assert isinstance(product_scheme(ALL, ALL, 1, 2, DH, 3), AllPositiveWeights)
+        assert isinstance(product_scheme(ALL, ALL, 1, 2, DH.largest(3)), AllPositiveWeights)
         with pytest.raises(ValueError):
-            product_scheme(ALL, EqualWeights(), 1, 2, DH, 3)
+            product_scheme(ALL, EqualWeights(), 1, 2, DH.largest(3))
 
     def test_product_scheme_joins_rational_parts(self):
         # each part alone clears to (1,), but together (1/2, 1) is (1, 2)
         combined = product_scheme(
-            ExplicitWeights([[Fraction(1, 2)]]), ExplicitWeights([[1]]), 1, 1, DH, 3
+            ExplicitWeights([[Fraction(1, 2)]]), ExplicitWeights([[1]]), 1, 1, DH.largest(3)
         )
         assert combined.vectors == ((Fraction(1, 2), Fraction(1)),)
 
@@ -452,7 +452,7 @@ def test_table_native_checkers_match_per_model_filter():
                     right = Instance(u, mu, profile[split:])
                     both = (merge_scheme(left, scheme, kind).models
                             & merge_scheme(right, scheme, kind).models)
-                    product = product_scheme(scheme, scheme, split, m - split, kind, n)
+                    product = product_scheme(scheme, scheme, split, m - split, kind.largest(n))
                     combined = merge_scheme(inst, product, kind).models
                     verdict = check_ic5(kind, inst, split, scheme, scheme)
                     _assert_verdict(verdict, both - combined, "extra")

@@ -18,7 +18,6 @@ from beliefmerge import (
 from beliefmerge.weights import (
     _weight,
     as_weight_vector,
-    default_expert_weight,
     parse_scheme,
     scheme_to_text,
 )
@@ -26,6 +25,12 @@ from beliefmerge.weights import (
 from oracles import brute_score, dominates, strictly_dominates
 
 DH = DistanceKind.hamming()
+
+
+def _default_expert(kind, n, m):
+    """The weight of an expert scheme without A over m sources of one
+    formula each, on n variables."""
+    return expand_scheme(ExpertWeights(), kind.largest(n), m)[0][0]
 
 
 class TestDominance:
@@ -77,28 +82,28 @@ class TestDominance:
 
 class TestSchemes:
     def test_expert_three_for_two_sources(self):
-        got = expand_scheme(ExpertWeights(3), DH, 4, 2)
+        got = expand_scheme(ExpertWeights(3), 4, 2)
         assert got == [as_weight_vector([3, 1]), as_weight_vector([1, 3])]
 
     def test_equal_is_all_ones(self):
-        assert expand_scheme(EqualWeights(), DH, 4, 4) == [as_weight_vector([1, 1, 1, 1])]
+        assert expand_scheme(EqualWeights(), 4, 4) == [as_weight_vector([1, 1, 1, 1])]
 
     def test_explicit_passes_through(self):
         scheme = ExplicitWeights([[5, 2], [2, 5]])
-        assert expand_scheme(scheme, DH, 4, 2) == list(scheme.vectors)
+        assert expand_scheme(scheme, 4, 2) == list(scheme.vectors)
 
     def test_explicit_expands_to_integer_vectors(self):
         scheme = ExplicitWeights([[Fraction(1, 2), Fraction(5, 3)], [4, 6]])
-        got = expand_scheme(scheme, DH, 4, 2)
+        got = expand_scheme(scheme, 4, 2)
         assert got == [(3, 10), (4, 6)]
         assert all(type(w) is int for v in got for w in v)
 
     def test_all_positive_is_symbolic(self):
-        assert expand_scheme(AllPositiveWeights(), DH, 4, 3) is None
+        assert expand_scheme(AllPositiveWeights(), 4, 3) is None
 
     def test_expert_without_value_takes_the_default(self):
         for kind, a in ((DH, 4 * 2 + 1), (DistanceKind.drastic(), 2 + 1)):
-            got = expand_scheme(ExpertWeights(), kind, 4, 2)
+            got = expand_scheme(ExpertWeights(), kind.largest(4), 2)
             assert got == [as_weight_vector([a, 1]), as_weight_vector([1, a])]
 
     def test_expert_minimum(self):
@@ -129,14 +134,31 @@ class TestSchemes:
             ExplicitWeights([[1, 0]])
 
     def test_default_expert_weight(self):
-        assert default_expert_weight(DistanceKind.drastic(), n=5, m=3) == 4
-        assert default_expert_weight(DistanceKind.hamming(), n=5, m=3) == 16
+        assert _default_expert(DistanceKind.drastic(), n=5, m=3) == 4
+        assert _default_expert(DistanceKind.hamming(), n=5, m=3) == 16
 
     def test_default_expert_weight_for_table(self):
         ds = DistanceKind.from_table(
             [[0, 0], [1, 1], [2, 2], [3, 2], [4, 2], [5, 5]], default=5
         )
-        assert default_expert_weight(ds, n=5, m=2) == 11
+        assert _default_expert(ds, n=5, m=2) == 11
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            DH,
+            DistanceKind.drastic(),
+            DistanceKind.from_table([(0, 0), (1, 5), (2, 1), (3, 4)], default=2),
+        ],
+        ids=str,
+    )
+    def test_default_expert_weight_reads_the_largest_distance(self, kind):
+        # m times the largest distance over counts 0..n, plus one
+        for n in range(1, 25):
+            for m in range(1, 7):
+                a = max(kind.mapped(h) for h in range(n + 1)) * m + 1
+                want = [tuple(a if j == i else 1 for j in range(m)) for i in range(m)]
+                assert expand_scheme(ExpertWeights(), kind.largest(n), m) == want
 
 
 class TestSchemeSyntax:
@@ -211,4 +233,4 @@ class TestExplicitWeightsValues:
         scheme = ExplicitWeights([[Fraction(1, 2), 3]])
         assert scheme.vectors == ((Fraction(1, 2), 3),)
         assert scheme_to_text(scheme) == "list:1/2,3"
-        assert expand_scheme(scheme, DH, 2, 2) == [(1, 6)]
+        assert expand_scheme(scheme, 2, 2) == [(1, 6)]
