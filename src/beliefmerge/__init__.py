@@ -17,9 +17,7 @@ from .merge import (
     Instance,
     MergeResult,
     excluding_subset,
-    merge_fixed,
     merge_scheme,
-    minimal_for_some_positive,
     multi_source_merge,
     undominated,
 )
@@ -68,9 +66,7 @@ __all__ = [
     "formula_to_text",
     "maxcons",
     "maxcons_disjunction",
-    "merge_fixed",
     "merge_scheme",
-    "minimal_for_some_positive",
     "models_of",
     "multi_source_merge",
     "parse_formula",

@@ -293,8 +293,6 @@ def _cmd_check(args) -> int:
         mu_prime = (
             parse_formula(args.mu_prime, spec.universe) if args.mu_prime else None
         )
-        if postulate == "majority" and len(spec.profile or ()) != 2:
-            raise InstanceFormatError("majority needs a two-formula profile")
         verdicts.append(
             check_postulate(
                 postulate,
@@ -344,16 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="beliefmerge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, scheme=True):
-        p.add_argument("--instance", required=True, help="instance JSON file")
-        if scheme:
-            p.add_argument("--scheme", help="equal | expert[:A] | all | list:2,1;1,2")
-        p.add_argument("--distance", help="drastic | hamming | table:FILE")
-        p.add_argument("--json", action="store_true", help="stable machine output")
-        p.add_argument("--out", help="write output to a file instead of stdout")
-
     p = sub.add_parser("merge", help="merge an instance under a weight scheme")
-    common(p)
+    p.add_argument("--instance", required=True, help="instance JSON file")
+    p.add_argument("--scheme", help="equal | expert[:A] | all | list:2,1;1,2")
+    p.add_argument("--distance", help="drastic | hamming | table:FILE")
+    p.add_argument("--json", action="store_true", help="stable machine output")
+    p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(fn=_cmd_merge)
 
     p = sub.add_parser("maxcons", help="maximal profile subsets consistent with mu")

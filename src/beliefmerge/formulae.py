@@ -304,14 +304,9 @@ def table_bits(table: np.ndarray) -> np.ndarray:
     return np.flatnonzero(table).astype(np.int64, copy=False)
 
 
-def models_bits(f: Formula, universe: Universe) -> np.ndarray:
-    """Satisfying bitmasks as a sorted int64 array (kernel-ready form)."""
-    return table_bits(truth_table(f, universe))
-
-
 def models_of(f: Formula, universe: Universe) -> tuple[Model, ...]:
     """All satisfying assignments, in lexicographic bit order."""
-    return tuple(Model(universe, int(b)) for b in models_bits(f, universe))
+    return tuple(Model(universe, int(b)) for b in table_bits(truth_table(f, universe)))
 
 
 def satisfiable(f: Formula, universe: Universe) -> bool:

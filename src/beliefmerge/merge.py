@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import count, islice
+from itertools import combinations, count, islice
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -54,7 +54,7 @@ from .errors import (
     UniverseMismatchError,
 )
 from .formulae import Formula, Model, Universe, table_and_support, table_bits, truth_table
-from .weights import AllPositiveWeights, ExplicitWeights, WeightScheme, expand_scheme
+from .weights import WeightScheme, expand_scheme
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -231,19 +231,6 @@ def distinct_front(
     return rows, first, inverse, front
 
 
-def merge_fixed(inst: Instance, w, kind: DistanceKind) -> frozenset[Model]:
-    """Models of mu at minimal distance weighted by the fixed vector w."""
-    return merge_scheme(inst, ExplicitWeights([w]), kind).models
-
-
-def minimal_for_some_positive(
-    i: Model, inst: Instance, kind: DistanceKind
-) -> tuple[int, ...] | None:
-    """i's witness in the all-positive merge, or None when i is excluded."""
-    inst.model_index(i)
-    return merge_scheme(inst, AllPositiveWeights(), kind).witnesses.get(i)
-
-
 def _scores(matrix: np.ndarray, vectors, bound: int, top: int | None = None) -> np.ndarray:
     """Exact vectors @ matrix.T for non-negative entries and weights, one
     row per vector: int64 while no score can reach 2^63, Python ints
@@ -270,25 +257,17 @@ def _argmin_merge(matrix: np.ndarray, vectors, bound: int, top: int | None = Non
 _SCREEN_SIZE = 64  # weight vectors the select screen tries before any LP
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The compositions of total into parts positive parts, in
-    lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def _gcd_one_vectors(m: int) -> Iterator[tuple[int, ...]]:
     """The positive integer m-vectors with gcd 1, by increasing sum and
-    lexicographically within a sum; (1,) is the only one for m = 1."""
+    lexicographically within a sum; (1,) is the only one for m = 1. A
+    vector of sum total is read off its m - 1 cut points in 1..total - 1,
+    whose lexicographic order is that of the vectors."""
     if m == 1:
         yield (1,)
         return
     for total in count(m):
-        for v in _compositions(total, m):
+        for cuts in combinations(range(1, total), m - 1):
+            v = tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
             if gcd(*v) == 1:
                 yield v
 

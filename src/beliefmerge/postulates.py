@@ -39,12 +39,6 @@ class Verdict:
     vacuous: bool = False
     witness: object = None
 
-    @property
-    def status(self) -> str:
-        if self.vacuous:
-            return "vacuous-pass"
-        return "pass" if self.passed else "fail"
-
 
 def _merged(
     cfg: OperatorConfig, inst: Instance, rows=slice(None), columns=slice(None)

@@ -31,7 +31,9 @@ cube) the reference for the kernel's per-column support cubes, and ``fraction_wi
 denominators cleared) the reference for lp.decide's gcd-reduced witness.
 ``recursive_parse`` (a tokenizer plus recursive descent) and
 ``recursive_formula_to_text`` (one call per AST node) are the references
-for the stack-based parser and printer.
+for the stack-based parser and printer, and ``recursive_gcd_one_vectors``
+(one level of recursion per part of a composition) the reference for the
+select screen's cut-point generator.
 """
 
 import importlib.util
@@ -40,10 +42,10 @@ import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from math import gcd, lcm
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -467,20 +469,28 @@ def row_generation_merge(matrix: np.ndarray):
     return chosen, weights, witness_index[chosen]
 
 
-def _first_gcd_one_vectors(m: int, count: int) -> list[tuple[int, ...]]:
-    """The first count positive integer m-vectors with gcd 1, by
-    increasing sum and lexicographically within a sum; (1,) is the only
-    one for m = 1."""
+def _recursive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of total into parts positive parts, in
+    lexicographic order, one level of recursion per part."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def recursive_gcd_one_vectors(m: int) -> Iterator[tuple[int, ...]]:
+    """The positive integer m-vectors with gcd 1, by increasing sum and
+    lexicographically within a sum, from the recursive composer; (1,) is
+    the only one for m = 1."""
     if m == 1:
-        return [(1,)]
-    found, total = [], m
-    while len(found) < count:
-        found += [
-            v for v in product(range(1, total - m + 2), repeat=m)
-            if sum(v) == total and gcd(*v) == 1
-        ]
-        total += 1
-    return found[:count]
+        yield (1,)
+        return
+    for total in count(m):
+        for v in _recursive_compositions(total, m):
+            if gcd(*v) == 1:
+                yield v
 
 
 def _dot(w: Sequence[int], d: Sequence[int]) -> int:
@@ -511,7 +521,7 @@ def spread_lp_merge(matrix: np.ndarray):
     ]
     front = [distinct[k] for k in on_front]
     m = matrix.shape[1]
-    screen = _first_gcd_one_vectors(m, 64)
+    screen = list(islice(recursive_gcd_one_vectors(m), 64))
     first = {}  # front row -> the screen vector first making it minimal
     for j, w in enumerate(screen):
         scores = [_dot(w, d) for d in front]

@@ -30,9 +30,7 @@ from beliefmerge import (
     critical_weight_set,
     excluding_subset,
     maxcons_disjunction,
-    merge_fixed,
     merge_scheme,
-    minimal_for_some_positive,
     multi_source_merge,
     parse_formula,
     random_instance,
@@ -81,15 +79,18 @@ def suite_instances(count: int, base_seed: int, n_max: int, m_max: int):
 
 
 def vec_map(inst, kind):
-    vectors = inst.vectors(kind)
-    return {vectors[i]: m for i, m in enumerate(mu_models(inst))}
+    vectors = inst.distances(kind).tolist()
+    return {tuple(vectors[i]): m for i, m in enumerate(mu_models(inst))}
 
 
 def test_criterion_01_intro_tables():
     inst = realize([[3, 0], [1, 1], [0, 3]])
     models = vec_map(inst, DH)
-    assert merge_fixed(inst, [1, 1], DH) == {models[(1, 1)]}
-    assert merge_fixed(inst, [2, 1], DH) == {models[(1, 1)], models[(0, 3)]}
+    assert merge_scheme(inst, ExplicitWeights([[1, 1]]), DH).models == {models[(1, 1)]}
+    assert merge_scheme(inst, ExplicitWeights([[2, 1]]), DH).models == {
+        models[(1, 1)],
+        models[(0, 3)],
+    }
     report(1, "intro example, equal and [2,1] weights")
 
 
@@ -149,7 +150,7 @@ def test_criterion_05_exponential_construction():
 
     two = replicated_blocks(2)
     assert merge_scheme(two, ALL, DH).models == frozenset(mu_models(two))
-    vectors = sorted(set(two.vectors(DH)))
+    vectors = sorted(set(map(tuple, two.distances(DH).tolist())))
     extremes = [v for v in vectors if (1, 1) not in (v[:2], v[2:])]
     assert len(extremes) == 4
     for a, b in combinations(extremes, 2):
@@ -161,9 +162,10 @@ def test_criterion_05_exponential_construction():
 
 def test_criterion_06_m_models_bound():
     for inst in suite_instances(120, base_seed=1006, n_max=4, m_max=3):
-        vectors = inst.vectors(DH)
+        vectors = list(map(tuple, inst.distances(DH).tolist()))
+        witnesses = merge_scheme(inst, ALL, DH).witnesses
         for idx, model in enumerate(mu_models(inst)):
-            witness = minimal_for_some_positive(model, inst, DH)
+            witness = witnesses.get(model)
             subset = excluding_subset(model, inst, DH)
             others = [d for j, d in enumerate(vectors) if j != idx]
             full = feasible(minimality_system(vectors[idx], others))
@@ -186,7 +188,7 @@ def test_criterion_07_geometry_cross_oracle():
         inst = random_instance(n, 2, seed=rng.next64())
         viaLP = merge_scheme(inst, ALL, DH).models
         viaGeometry = algorithm1(inst, DH)
-        scheme = ExplicitWeights(critical_weight_set(set(inst.vectors(DH))))
+        scheme = ExplicitWeights(critical_weight_set(set(map(tuple, inst.distances(DH).tolist()))))
         viaCritical = merge_scheme(inst, scheme, DH).models
         if not (viaLP == viaGeometry == viaCritical):
             mismatches += 1
@@ -251,7 +253,7 @@ def test_criterion_08_postulates():
     assert not ic8.passed
     assert ic8.witness["new_models"] == [models[(0, 2)]]
     restricted = Instance(narrowed.universe, mu_prime, narrowed.profile)
-    assert models[(0, 2)] in merge_fixed(restricted, [2, 1], DH)
+    assert models[(0, 2)] in merge_scheme(restricted, ExplicitWeights([[2, 1]]), DH).models
 
     # majority keeps failing no matter the repetitions
     ua = Universe(["a"])

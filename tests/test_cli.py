@@ -270,6 +270,21 @@ class TestMerge:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    def test_all_scheme_screens_a_thousand_sources(self, capsys, tmp_path):
+        """The select screen composes its vectors without recursion, so
+        1200 sources stay far from the recursion limit."""
+        path = tmp_path / "many.json"
+        path.write_text(
+            json.dumps({"variables": ["a"], "constraints": "a", "profile": ["a"] * 1200})
+        )
+        code, out, err = run(
+            capsys, "merge", "--instance", str(path), "--scheme", "all", "--json"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["models"] == [["a"]]
+        assert payload["witnesses"] == [[1] * 1200]
+
 
 class TestMaxconsCommand:
     def test_indices_are_one_based(self, capsys, tmp_path):
@@ -375,6 +390,19 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert payload["fail"] == 1
         assert payload["first_failure"]["models"]
+
+    def test_majority_needs_two_formulas(self, capsys, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(
+            json.dumps(
+                {"variables": ["a"], "constraints": "true", "profile": ["a", "!a", "a"]}
+            )
+        )
+        code, out, err = run(
+            capsys, "check", "--postulate", "majority", "--instance", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "beliefmerge: majority is stated for two-formula profiles\n"
 
     @pytest.mark.parametrize(
         "flags, distance, scheme",

@@ -182,24 +182,24 @@ class TestFormulaDistance:
 class TestProfileDistanceVector:
     def test_intro_scenario_vectors(self):
         inst = realize([[3, 0], [1, 1], [0, 3]])
-        assert sorted(inst.vectors(DH)) == [(0, 3), (1, 1), (3, 0)]
+        assert sorted(inst.distances(DH).tolist()) == [[0, 3], [1, 1], [3, 0]]
 
     def test_all_satisfied_gives_zero_vector(self):
         profile = [parse_formula("a | b", ABC), parse_formula("c | !c", ABC)]
         i = Model(ABC, 0b110)
         inst = Instance(ABC, TRUE, profile)
-        assert inst.vectors(DH)[inst.model_index(i)] == (0, 0)
+        assert inst.distances(DH)[inst.model_index(i)].tolist() == [0, 0]
 
     def test_single_vector_realization_recomputed(self):
         inst = realize([[2, 2]], n=3)
         (model,) = mu_models(inst)
         assert brute_vector(DH, model, inst.profile) == (2, 2)
-        assert inst.vectors(DH) == ((2, 2),)
+        assert inst.distances(DH).tolist() == [[2, 2]]
 
     def test_instance_vectors_match_per_model_computation(self):
         inst = random_instance(4, 3, seed=17)
         for kind in (DD, DH, DS):
-            vectors = inst.vectors(kind)
+            vectors = list(map(tuple, inst.distances(kind).tolist()))
             for idx, m in enumerate(mu_models(inst)):
                 assert vectors[idx] == brute_vector(kind, m, inst.profile)
 
@@ -219,7 +219,7 @@ class TestSubsat:
         # containment of satisfied sets is exactly drastic vector dominance
         inst = random_instance(4, 4, seed=seed)
         models = mu_models(inst)
-        vectors = inst.vectors(DD)
+        vectors = inst.distances(DD).tolist()
         for a, i in enumerate(models):
             for b, j in enumerate(models):
                 lhs = dominates(vectors[a], vectors[b])

@@ -90,7 +90,8 @@ class TestVisibleHull:
 class TestAlgorithm1:
     def test_cut_off_triangle_instance(self):
         inst = realize([[3, 0], [2, 2], [0, 3]])
-        got = {inst.vectors(DH)[inst.model_index(m)] for m in algorithm1(inst, DH)}
+        rows = inst.distances(DH)
+        got = {tuple(rows[inst.model_index(m)].tolist()) for m in algorithm1(inst, DH)}
         assert got == {(3, 0), (0, 3)}
 
     def test_enlightened_triangle_instance(self):
@@ -124,7 +125,7 @@ class TestCriticalWeightSet:
     @pytest.mark.parametrize("seed", range(25))
     def test_merge_over_set_equals_all_positive(self, seed):
         inst = random_instance(5, 2, seed=seed)
-        points = set(inst.vectors(DH))
+        points = set(map(tuple, inst.distances(DH).tolist()))
         scheme = ExplicitWeights(critical_weight_set(points))
         assert (
             merge_scheme(inst, scheme, DH).models

@@ -37,7 +37,7 @@ class TestRealize:
         assert inst.universe.n == 6
         assert inst.m == 2
         assert len(mu_models(inst)) == 3
-        assert sorted(inst.vectors(DH)) == [(0, 3), (2, 2), (3, 0)]
+        assert sorted(inst.distances(DH).tolist()) == [[0, 3], [2, 2], [3, 0]]
 
     def test_zero_vector_gives_fully_agreeing_model(self):
         inst = realize([[0]])
@@ -46,7 +46,7 @@ class TestRealize:
 
     def test_narrowing_counterexample_vectors(self):
         inst = realize([[1, 0], [0, 1], [0, 2]])
-        assert sorted(inst.vectors(DH)) == [(0, 1), (0, 2), (1, 0)]
+        assert sorted(inst.distances(DH).tolist()) == [[0, 1], [0, 2], [1, 0]]
 
     def test_models_biject_with_distinct_vectors(self):
         rng = Xoshiro256StarStar(3)
@@ -93,7 +93,7 @@ class TestReplicatedBlocks:
     def test_single_block_is_the_three_point_instance(self):
         inst = replicated_blocks(1)
         assert inst.universe.n == 6
-        assert sorted(inst.vectors(DH)) == [(0, 3), (1, 1), (3, 0)]
+        assert sorted(inst.distances(DH).tolist()) == [[0, 3], [1, 1], [3, 0]]
         merged = merge_scheme(inst, AllPositiveWeights(), DH)
         assert len(merged.models) == 3
 
@@ -115,7 +115,7 @@ class TestReplicatedBlocks:
         assert inst.universe.n == 12
         assert inst.m == 4
         assert len(mu_models(inst)) == 9
-        vectors = set(inst.vectors(DH))
+        vectors = set(map(tuple, inst.distances(DH).tolist()))
         assert vectors == {
             a + b for a in [(3, 0), (1, 1), (0, 3)] for b in [(3, 0), (1, 1), (0, 3)]
         }
@@ -130,7 +130,7 @@ class TestReplicatedBlocks:
         # each sign-pattern model needs its own vector: for any two of
         # them the combined minimality system is infeasible
         inst = replicated_blocks(2)
-        vectors = list(set(inst.vectors(DH)))
+        vectors = list(set(map(tuple, inst.distances(DH).tolist())))
         extremes = [v for v in vectors if (1, 1) not in (v[0:2], v[2:4])]
         assert len(extremes) == 4
         for a in range(len(extremes)):
@@ -184,7 +184,7 @@ class TestRandomInstance:
         path.write_text(json.dumps(instance_payload(inst)))
         loaded = load_instance_file(str(path)).instance()
         assert loaded.universe == inst.universe
-        assert loaded.vectors(DH) == inst.vectors(DH)
+        assert loaded.distances(DH).tolist() == inst.distances(DH).tolist()
         assert mu_models(loaded) == mu_models(inst)
 
 

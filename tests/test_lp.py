@@ -116,7 +116,7 @@ class TestMinimalitySystem:
         # m=2 keeps the integer grid bound sound: feasibility regions are
         # cones with small rational extreme rays
         inst = random_instance(4, 2, seed=seed)
-        vectors = inst.vectors(DistanceKind.hamming())
+        vectors = list(map(tuple, inst.distances(DistanceKind.hamming()).tolist()))
         total = max(sum(v) for v in vectors)
         bound = 1 + total * 2
         for d in set(vectors):

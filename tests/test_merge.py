@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import numpy as np
@@ -15,9 +15,7 @@ from beliefmerge import (
     Model,
     Universe,
     excluding_subset,
-    merge_fixed,
     merge_scheme,
-    minimal_for_some_positive,
     models_of,
     multi_source_merge,
     parse_formula,
@@ -37,6 +35,7 @@ from beliefmerge.maxcons import maxcons_disjunction
 from beliefmerge import _kernels, merge as merge_module
 from beliefmerge.merge import (
     _argmin_merge,
+    _gcd_one_vectors,
     _midpoint_pairs,
     _scores,
     _screen_vectors,
@@ -53,6 +52,7 @@ from oracles import (
     minimality_system,
     mu_models,
     perfbench_inputs,
+    recursive_gcd_one_vectors,
     row_generation_merge,
     spread_lp_merge,
     strictly_dominates,
@@ -64,7 +64,7 @@ DH = DistanceKind.hamming()
 
 
 def vec_of(inst, kind, model):
-    return inst.vectors(kind)[inst.model_index(model)]
+    return tuple(inst.distances(kind)[inst.model_index(model)].tolist())
 
 
 def by_vector(inst, kind):
@@ -120,11 +120,11 @@ class TestInstance:
 
 class TestMergeFixed:
     def test_intro_equal_weights_select_the_compromise(self, intro):
-        got = merge_fixed(intro, [1, 1], DH)
+        got = merge_scheme(intro, ExplicitWeights([[1, 1]]), DH).models
         assert got == {by_vector(intro, DH)[(1, 1)]}
 
     def test_intro_doubled_first_source(self, intro):
-        got = merge_fixed(intro, [2, 1], DH)
+        got = merge_scheme(intro, ExplicitWeights([[2, 1]]), DH).models
         models = by_vector(intro, DH)
         assert got == {models[(1, 1)], models[(0, 3)]}
 
@@ -133,23 +133,24 @@ class TestMergeFixed:
         inst = Instance(u, TRUE, [parse_formula("a", u), parse_formula("a | b", u)])
         expected = frozenset(models_of(parse_formula("a", u), u))
         for w in ([1, 1], [5, 2], [Fraction(1, 3), 7]):
-            assert merge_fixed(inst, w, DH) == expected
+            assert merge_scheme(inst, ExplicitWeights([w]), DH).models == expected
 
     def test_never_empty(self):
         for seed in range(6):
             inst = random_instance(3, 3, seed=seed)
-            assert merge_fixed(inst, [1, 2, 3], DH)
+            assert merge_scheme(inst, ExplicitWeights([[1, 2, 3]]), DH).models
 
     def test_rejects_wrong_length(self, intro):
         with pytest.raises(ValueError):
-            merge_fixed(intro, [1, 1, 1], DH)
+            merge_scheme(intro, ExplicitWeights([[1, 1, 1]]), DH)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_brute_force(self, seed):
         inst = random_instance(4, 3, seed=seed)
         for w in ([1, 1, 1], [3, 1, 2], [1, 5, 1]):
-            assert merge_fixed(inst, w, DH) == brute_merge_fixed(inst, w, DH)
-            assert merge_fixed(inst, w, DD) == brute_merge_fixed(inst, w, DD)
+            for kind in (DH, DD):
+                got = merge_scheme(inst, ExplicitWeights([w]), kind).models
+                assert got == brute_merge_fixed(inst, w, kind)
 
 
 # weights whose scores pass 2^63 on DEEP's Hamming distances, so the
@@ -186,7 +187,8 @@ class TestFiniteSchemesAgainstBruteForce:
             assert bound >= 2**63
             self._check(inst, parse_scheme(text), DH)
         # 10^19 + 2 beats 10^19 + 3, which a float64 score would tie
-        assert merge_fixed(inst, [1, 1, 10**19], DH) == {by_vector(inst, DH)[(2, 0, 1)]}
+        got = merge_scheme(inst, ExplicitWeights([[1, 1, 10**19]]), DH).models
+        assert got == {by_vector(inst, DH)[(2, 0, 1)]}
 
     def _check(self, inst, scheme, kind):
         vectors = expand_scheme(scheme, kind.largest(inst.universe.n), inst.m)
@@ -194,34 +196,35 @@ class TestFiniteSchemesAgainstBruteForce:
         assert result.witnesses == _brute_scheme_merge(inst, vectors, kind)
         assert result.models == frozenset(result.witnesses)
         for w in vectors:
-            assert merge_fixed(inst, w, kind) == brute_merge_fixed(inst, w, kind)
+            got = merge_scheme(inst, ExplicitWeights([w]), kind).models
+            assert got == brute_merge_fixed(inst, w, kind)
 
 
 class TestMinimalForSomePositive:
     def test_undominated_middle_vector_has_no_witness(self, blocked):
         middle = by_vector(blocked, DH)[(2, 2)]
-        assert minimal_for_some_positive(middle, blocked, DH) is None
+        assert merge_scheme(blocked, AllPositiveWeights(), DH).witnesses.get(middle) is None
 
     def test_extreme_vector_has_verified_witness(self, intro):
         target = by_vector(intro, DH)[(0, 3)]
-        witness = minimal_for_some_positive(target, intro, DH)
+        witness = merge_scheme(intro, AllPositiveWeights(), DH).witnesses.get(target)
         assert witness is not None
-        best = min(brute_score(witness, d) for d in intro.vectors(DH))
+        best = min(brute_score(witness, d) for d in intro.distances(DH).tolist())
         assert brute_score(witness, (0, 3)) == best
         # the published example weights work as well
         assert brute_score([4, 1], (0, 3)) == min(
-            brute_score([4, 1], d) for d in intro.vectors(DH)
+            brute_score([4, 1], d) for d in intro.distances(DH).tolist()
         )
 
     def test_strictly_dominated_vector_has_no_witness(self):
         inst = realize([[1, 0], [0, 1], [0, 2]])
         dominated = by_vector(inst, DH)[(0, 2)]
-        assert minimal_for_some_positive(dominated, inst, DH) is None
+        assert merge_scheme(inst, AllPositiveWeights(), DH).witnesses.get(dominated) is None
 
     def test_requires_mu_model(self, intro):
         outsider = Model(intro.universe, 0)
         with pytest.raises(ValueError):
-            minimal_for_some_positive(outsider, intro, DH)
+            intro.model_index(outsider)
 
 
 class TestMergeScheme:
@@ -239,12 +242,15 @@ class TestMergeScheme:
             inst = random_instance(4, 3, seed=seed)
             assert (
                 merge_scheme(inst, EqualWeights(), DH).models
-                == merge_fixed(inst, [1, 1, 1], DH)
+                == merge_scheme(inst, ExplicitWeights([[1, 1, 1]]), DH).models
             )
 
     def test_explicit_scheme_is_union_of_fixed_merges(self, intro):
         result = merge_scheme(intro, ExplicitWeights([[2, 4], [4, 1]]), DH)
-        expected = merge_fixed(intro, [2, 4], DH) | merge_fixed(intro, [4, 1], DH)
+        expected = (
+            merge_scheme(intro, ExplicitWeights([[2, 4]]), DH).models
+            | merge_scheme(intro, ExplicitWeights([[4, 1]]), DH).models
+        )
         assert result.models == expected
 
     def test_expert_defaults_resolve_per_distance(self):
@@ -258,7 +264,7 @@ class TestMergeScheme:
         inst = random_instance(4, 3, seed=seed)
         for scheme in (AllPositiveWeights(), ExpertWeights(5), EqualWeights()):
             result = merge_scheme(inst, scheme, DH)
-            vectors = inst.vectors(DH)
+            vectors = inst.distances(DH).tolist()
             for model, w in result.witnesses.items():
                 mine = brute_score(w, vec_of(inst, DH, model))
                 assert mine == min(brute_score(w, d) for d in vectors)
@@ -267,7 +273,7 @@ class TestMergeScheme:
     def test_selected_models_are_never_strictly_dominated(self, seed):
         inst = random_instance(4, 3, seed=seed)
         result = merge_scheme(inst, AllPositiveWeights(), DH)
-        vectors = set(inst.vectors(DH))
+        vectors = set(map(tuple, inst.distances(DH).tolist()))
         for m in result.models:
             mine = vec_of(inst, DH, m)
             assert not any(strictly_dominates(d, mine) for d in vectors)
@@ -588,6 +594,15 @@ class TestScreens:
         assert array.tolist() == [list(v) for v in vectors]
         assert top == max(map(sum, vectors))
 
+    def test_screen_vectors_match_the_recursive_composer(self):
+        for m in range(1, 71):
+            want = list(islice(recursive_gcd_one_vectors(m), 64))
+            assert list(islice(_gcd_one_vectors(m), 64)) == want, m
+        # far past the recursion limit: the cut points need no recursion
+        vectors = _screen_vectors(5000)[0]
+        assert vectors[:2] == ((1,) * 5000, (1,) * 4999 + (2,))
+        assert vectors[-1] == (1,) * 4937 + (2,) + (1,) * 62
+
     def test_screen_witnesses_are_its_tuples(self):
         # the array only scores; a witness is one of the cached tuples
         matrix = np.array([[0, 4, 1], [4, 0, 1], [2, 2, 1], [1, 1, 3]], dtype=np.int64)
@@ -829,9 +844,10 @@ class TestExcludingSubset:
     @pytest.mark.parametrize("seed", range(8))
     def test_subset_bound_and_consistency_with_full_system(self, seed):
         inst = random_instance(4, 3, seed=seed)
-        vectors = inst.vectors(DH)
+        vectors = list(map(tuple, inst.distances(DH).tolist()))
+        witnesses = merge_scheme(inst, AllPositiveWeights(), DH).witnesses
         for idx, model in enumerate(mu_models(inst)):
-            selected = minimal_for_some_positive(model, inst, DH) is not None
+            selected = witnesses.get(model) is not None
             subset = excluding_subset(model, inst, DH)
             full = feasible(
                 minimality_system(

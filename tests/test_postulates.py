@@ -50,7 +50,7 @@ def _cfg(scheme=ALL, kind=DH):
 
 
 def _mu_prime_from_vectors(inst, kind, wanted):
-    vecs = inst.vectors(kind)
+    vecs = list(map(tuple, inst.distances(kind).tolist()))
     chosen = [
         m for i, m in enumerate(mu_models(inst)) if vecs[i] in wanted
     ]
@@ -141,7 +141,7 @@ class TestIC4:
             [[0, 0], [1, 1], [2, 2], [3, 2], [4, 2], [5, 5]], default=5
         )
         inst = Instance(u, mu, [f1, f2])
-        assert sorted(inst.vectors(ds)) == [(0, 5), (2, 1), (5, 0)]
+        assert sorted(inst.distances(ds).tolist()) == [[0, 5], [2, 1], [5, 0]]
 
         cfg = OperatorConfig(ds, ExplicitWeights([[5, 2], [2, 5]]))
         verdict = check_postulate("ic4", cfg, inst)
@@ -217,7 +217,7 @@ class TestIC5IC6:
 class TestIC8:
     def test_fixed_counterexample_fails_with_documented_weights(self):
         inst = realize([[1, 0], [0, 1], [0, 2]])
-        vecs = inst.vectors(DH)
+        vecs = list(map(tuple, inst.distances(DH).tolist()))
         models = {vecs[i]: m for i, m in enumerate(mu_models(inst))}
 
         base = merge_scheme(inst, ALL, DH).models
@@ -367,13 +367,6 @@ class TestArbitrationDuplicate:
 
 
 class TestVerdictShape:
-    def test_status_strings(self):
-        from beliefmerge.postulates import Verdict
-
-        assert Verdict(True).status == "pass"
-        assert Verdict(False).status == "fail"
-        assert Verdict(True, vacuous=True).status == "vacuous-pass"
-
     def test_unknown_postulate(self):
         inst = random_instance(3, 2, seed=0)
         with pytest.raises(ValueError):
