@@ -8,9 +8,8 @@ algorithm instead of whatever the host runtime ships:
   0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 * stream: xoshiro256** 1.0 (Blackman, Vigna 2018), scrambler
   rotl(s1 * 5, 7) * 9, shift 17, rotations 45
+* coins: next64() < floor(p * 2^64), fixed by the caller, is within 2^-64 of p
 """
-
-from fractions import Fraction
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,10 +58,3 @@ class Xoshiro256StarStar:
             x = self.next64()
             if x < limit:
                 return x % bound
-
-    def chance(self, p: Fraction) -> bool:
-        """True with exact probability p (0 <= p <= 1)."""
-        if not 0 <= p.numerator <= p.denominator:  # the denominator is positive
-            raise ValueError("probability out of range")
-        threshold = (p.numerator << 64) // p.denominator
-        return self.next64() < threshold

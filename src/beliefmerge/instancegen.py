@@ -9,7 +9,6 @@ variables of block i. The construction is self-verifying.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -36,7 +35,6 @@ BLOCK_VECTORS = ((3, 0), (1, 1), (0, 3))  # one block of the exponential constru
 
 RANDOM_MAX_VARS = 12
 RANDOM_MAX_FORMULAE = 5
-RANDOM_DENSITY = Fraction(2, 3)  # chance that a node below the depth cap branches
 _RETRIES = 200
 
 
@@ -106,9 +104,10 @@ def replicated_blocks(k: int) -> Instance:
 
 
 def _random_formula(rng: Xoshiro256StarStar, universe: Universe, depth: int) -> Formula:
-    if depth == 0 or not rng.chance(RANDOM_DENSITY):
+    # integer coins: below the depth cap branch with chance 2/3; negate with 1/2
+    if depth == 0 or rng.next64() >= (2 << 64) // 3:
         var = Var(universe.variables[rng.below(universe.n)])
-        return Not(var) if rng.chance(Fraction(1, 2)) else var
+        return Not(var) if rng.next64() < 1 << 63 else var
     op = rng.below(4)
     left = _random_formula(rng, universe, depth - 1)
     right = _random_formula(rng, universe, depth - 1)

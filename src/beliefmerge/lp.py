@@ -35,7 +35,7 @@ about exactly the rows given.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 
@@ -110,16 +110,6 @@ def decide(
 
 
 def _witness(values: list[int], denom: int) -> tuple[int, ...]:
-    """integer_witness(values / denom): the reduced denominators' lcm is denom / g."""
+    """weights.integer_witness(values / denom): the reduced denominators' lcm is denom / g."""
     g = gcd(denom, *values)
     return tuple(v // g for v in values)
-
-
-def integer_witness(w: Sequence[int | Fraction]) -> tuple[int, ...]:
-    """Clear denominators of a positive vector of ints and Fractions;
-    same argmin set by homogeneity of the scalar product."""
-    for x in w:
-        if x <= 0:
-            raise ValueError(f"witness entries must be positive, got {x}")
-    scale = lcm(*(x.denominator for x in w))
-    return tuple(x.numerator * (scale // x.denominator) for x in w)

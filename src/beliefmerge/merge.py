@@ -8,8 +8,8 @@ int64 distance matrix per distance kind: row r is the distance vector of
 the r-th mu model in bit order, column j the distance to F_j, all from
 one distance-kernel call over the profile truth tables, each column
 computed on its support's cube where that is cheaper. No entry exceeds
-the kind's largest value, the bound that picks int64 or exact Python-int
-scoring and sets the default expert weight. The merge core
+the kind's largest value, the bound that sets the default expert weight
+and from which _scores alone picks int64 or Python-int sums. The merge core
 (``_scheme_merge``) reads only mu bitmasks, a matrix and that bound, so
 a caller can merge row and column selections of one instance's matrix.
 Every scheme is decided by one argmin merge: an exact (vectors x rows)
@@ -280,27 +280,24 @@ def _screen_vectors(m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, in
     return vectors, _read_only(np.array(vectors, dtype=np.int64)), sum(vectors[-1])
 
 
-def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray, bound: int) -> np.ndarray:
+def _midpoint_pairs(front_rows: np.ndarray, asked: np.ndarray) -> np.ndarray:
     """For each front row d = front_rows[i], i in asked, the first pair
-    (a, b) of front row indices with gap = 2d - front_rows[a] -
-    front_rows[b] >= 0 in every coordinate and != 0, so that their
-    midpoint strictly dominates d; (-1, -1) where no pair does. Entries
-    are non-negative and none is above bound, so only rows <= 2d can
-    take part. Python ints (object) once 2 * bound can reach 2^63;
-    candidate pairs are compared in chunks of at most _kernels.CELLS
-    cells."""
-    if 2 * bound >= 2**63:
-        front_rows = front_rows.astype(object)
+    (a, b) of front row indices with d - front_rows[a] >= front_rows[b]
+    - d in every coordinate and != in some, so that their midpoint
+    strictly dominates d; (-1, -1) where no pair does. Entries are
+    non-negative, so only rows with a - d <= d can take part. Every
+    difference of two entries in [0, 2^63) fits int64, so no bound
+    applies; candidate pairs are compared in chunks of at most
+    _kernels.CELLS cells."""
     pairs = np.full((len(asked), 2), -1, dtype=np.intp)
     for k, row in enumerate(asked.tolist()):
-        twice = 2 * front_rows[row]
-        members = np.flatnonzero((front_rows <= twice).all(axis=1))  # row itself fits
-        cand = front_rows[members]
-        slack = twice - cand
-        chunk = max(1, _kernels.CELLS // cand.size)
-        for a in range(0, len(cand), chunk):
-            gap = slack[a : a + chunk, None, :] - cand[None, :, :]
-            ok = (gap >= 0).all(axis=2) & (gap != 0).any(axis=2)
+        above = front_rows - front_rows[row]  # b - d for every front row b
+        members = np.flatnonzero((above <= front_rows[row]).all(axis=1))  # row itself fits
+        above = above[members]
+        chunk = max(1, _kernels.CELLS // above.size)
+        for a in range(0, len(above), chunk):
+            below = -above[a : a + chunk, None, :]  # d - a
+            ok = (below >= above).all(axis=2) & (below != above).any(axis=2)
             if ok.any():
                 i, j = np.unravel_index(int(ok.argmax()), ok.shape)
                 pairs[k] = members[a + i], members[j]
@@ -324,12 +321,13 @@ def _critical_weights(front_rows: np.ndarray, bound: int) -> list[tuple[int, ...
        convex certificate of 2 <= m rows.
     3. Row generation: each row still undecided is asked of lp.decide
        against an active set of other front rows, seeded with the m
-       nearest to it in L1. A zero optimum is a certificate over the
-       whole front. A witness is checked against every front row; while
-       some row scores below d, the m most violated join the active set
-       and the LP runs again. A witness that passes is kept and decides
-       every undecided front row tying d's score, none of which an
-       earlier vector makes minimal.
+       nearest to it in L1 (exact sums from _scores, ties in front
+       order). A zero optimum is a certificate over the whole front. A
+       witness is checked against every front row; while some row
+       scores below d, the m most violated join the active set and the
+       LP runs again. A witness that passes is kept and decides every
+       undecided front row tying d's score, none of which an earlier
+       vector makes minimal.
     """
     m = front_rows.shape[1]
     vectors, screen, top = _screen_vectors(m)
@@ -339,12 +337,13 @@ def _critical_weights(front_rows: np.ndarray, bound: int) -> list[tuple[int, ...
     undecided[hit] = False
     rest = np.flatnonzero(undecided)
     if len(rest):
-        undecided[rest[_midpoint_pairs(front_rows, rest, bound)[:, 0] >= 0]] = False
+        undecided[rest[_midpoint_pairs(front_rows, rest)[:, 0] >= 0]] = False
     for i in np.flatnonzero(undecided).tolist():
         if not undecided[i]:
             continue
         d = front_rows[i].tolist()
-        order = np.argsort(np.abs(front_rows - front_rows[i]).sum(axis=1), kind="stable")
+        l1 = _scores(np.abs(front_rows - front_rows[i]), [(1,) * m], bound)[0]
+        order = np.argsort(l1, kind="stable")
         active = np.sort(order[order != i][:m])
         while True:
             w = lp.decide(d, front_rows[active].tolist())[0]

@@ -1,11 +1,12 @@
 """Weight vectors and weight schemes.
 
 An explicit scheme keeps its strictly positive rationals as written,
-an integral one as an int and only a true rational as a Fraction. All
+an integral one as an int and only a true rational as a Fraction; it
+reads each weight (a CLI token too) once and checks each rule once. All
 comparisons the engine makes are homogeneous, so positive-rational
 feasibility agrees with the positive-integer convention once
-denominators are cleared: a finite scheme expands to integer vectors,
-and public witnesses are always reported as integers.
+denominators are cleared (integer_witness): a finite scheme expands to
+integer vectors, and public witnesses are always reported as integers.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
-
-from .lp import integer_witness
 
 WeightVector = tuple[Union[int, Fraction], ...]
 
@@ -34,14 +34,11 @@ def _weight(v) -> int | Fraction:
     return int(v) if v.denominator == 1 else v
 
 
-def as_weight_vector(values: Sequence) -> WeightVector:
-    out = tuple(map(_weight, values))
-    if not out:
-        raise ValueError("weight vector must be non-empty")
-    for w in out:
-        if w <= 0:
-            raise ValueError(f"weights must be strictly positive, got {w}")
-    return out
+def integer_witness(w: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """Clear the denominators of a positive vector of ints and Fractions;
+    same argmin set by homogeneity of the scalar product."""
+    scale = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (scale // x.denominator) for x in w)
 
 
 # --- schemes ---------------------------------------------------------------
@@ -79,7 +76,13 @@ class ExplicitWeights:
     vectors: tuple[WeightVector, ...]
 
     def __init__(self, vectors):
-        vecs = tuple(as_weight_vector(v) for v in vectors)
+        vecs = tuple(tuple(map(_weight, v)) for v in vectors)
+        for v in vecs:
+            if not v:
+                raise ValueError("weight vector must be non-empty")
+            for w in v:
+                if w <= 0:
+                    raise ValueError(f"weights must be strictly positive, got {w}")
         if not vecs:
             raise ValueError("explicit scheme must list at least one vector")
         if len({len(v) for v in vecs}) > 1:
@@ -93,7 +96,7 @@ WeightScheme = Union[EqualWeights, ExpertWeights, AllPositiveWeights, ExplicitWe
 def expand_scheme(scheme: WeightScheme, bound: int, m: int) -> list[tuple[int, ...]] | None:
     """Finite integer vector list of a scheme over m sources, or None for
     the symbolic all-positive set. An explicit vector has its
-    denominators cleared (``lp.integer_witness``). An expert scheme
+    denominators cleared (``integer_witness``). An expert scheme
     without a weight takes bound * m + 1, where no coordinate of a
     distance vector exceeds bound: the expert then outweighs every other
     source together."""
@@ -107,9 +110,8 @@ def expand_scheme(scheme: WeightScheme, bound: int, m: int) -> list[tuple[int, .
                 a = bound * m + 1
             return [tuple(a if j == i else 1 for j in range(m)) for i in range(m)]
         case ExplicitWeights(vectors):
-            for v in vectors:
-                if len(v) != m:
-                    raise ValueError(f"scheme vector length {len(v)} != profile length {m}")
+            if len(vectors[0]) != m:  # the vectors share one length
+                raise ValueError(f"scheme vector length {len(vectors[0])} != profile length {m}")
             return [integer_witness(v) for v in vectors]
         case AllPositiveWeights():
             return None
@@ -131,10 +133,9 @@ def parse_scheme(text: str) -> WeightScheme:
         if any("" in part for part in tokens):
             raise ValueError(f"empty entry in weight scheme {text!r}")
         try:
-            vectors = [[_weight(x) for x in part] for part in tokens]
+            return ExplicitWeights(tokens)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in weight scheme {text!r}") from None
-        return ExplicitWeights(vectors)
     raise ValueError(f"unrecognized weight scheme {text!r}")
 
 

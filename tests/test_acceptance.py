@@ -9,7 +9,6 @@ status line per criterion.
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from beliefmerge import (
     AllPositiveWeights,
@@ -52,7 +51,6 @@ from beliefmerge.formulae import (
 )
 from beliefmerge.maxcons import maxcons_disjunction as _disj
 from beliefmerge.merge import Instance as _Instance
-from beliefmerge.postulates import Verdict
 
 from oracles import LinConstraint, LinSystem, feasible, minimality_system, mu_models
 

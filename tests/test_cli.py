@@ -22,7 +22,7 @@ from beliefmerge.cli import POSTULATES, _merge_json, main
 from beliefmerge.formulae import Universe, model_from_literals, parse_formula
 from beliefmerge.instancefile import save_instance_file
 
-from oracles import merge_json
+from oracles import merge_json, spread_lp_merge
 
 
 def run(capsys, *argv):
@@ -53,6 +53,27 @@ def drastic_file(tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_all_scheme_witnesses_past_two_to_the_63(capsys, tmp_path):
+    """A table whose default is 2^63 - 1: merge --json selects every
+    realized world, each with the oracle's witness, although the L1
+    distances between the distance vectors pass 2^63."""
+    vectors = "1,1,3;1,2,1;3,1,2;3,2,0;4,0,1"
+    path, table = tmp_path / "inst.json", tmp_path / "table.json"
+    assert main(["realize", "--vectors", vectors, "--block-size", "4", "--out", str(path)]) == 0
+    pairs = [[0, 0], [1, 1], [2, 2], [3, 3]]
+    table.write_text(json.dumps({"table": pairs, "default": 2**63 - 1}))
+    code, out, _ = run(
+        capsys, "merge", "--instance", str(path), "--scheme", "all", "--json",
+        "--distance", f"table:{table}",
+    )
+    assert code == 0
+    inst = realize([v.split(",") for v in vectors.split(";")], 4)
+    kind = DistanceKind.from_table(pairs, default=2**63 - 1)
+    rows, weights, witness_index = spread_lp_merge(inst.distances(kind))
+    assert len(rows) == 5
+    assert json.loads(out)["witnesses"] == [list(weights[j]) for j in witness_index.tolist()]
 
 
 def test_json_golden(capsys, intro_file):

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from beliefmerge import (

@@ -14,8 +14,7 @@ from beliefmerge import (
 )
 from beliefmerge._rng import Xoshiro256StarStar
 from beliefmerge import instancegen
-from beliefmerge.errors import EnumerationLimitError, GenerationError
-from beliefmerge.formulae import TRUE
+from beliefmerge.errors import EnumerationLimitError
 from beliefmerge.instancefile import instance_payload, load_instance_file
 
 from oracles import (

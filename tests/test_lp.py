@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefmerge import AllPositiveWeights, DistanceKind, lp, merge_scheme, random_instance, realize
-from beliefmerge.lp import decide, integer_witness
+from beliefmerge.lp import decide
 
 from oracles import (
     LinConstraint,
@@ -125,28 +125,6 @@ class TestMinimalitySystem:
             exact = feasible(system)
             grid = grid_feasible(system, bound)
             assert (exact is None) == (grid is None)
-
-
-class TestIntegerWitness:
-    def test_clears_denominators(self):
-        assert integer_witness([Fraction(1, 2), Fraction(3, 2)]) == (1, 3)
-
-    def test_identity_on_integers(self):
-        assert integer_witness([Fraction(2), Fraction(4)]) == (2, 4)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            integer_witness([Fraction(1), Fraction(0)])
-
-    def test_integerized_witness_still_solves_homogeneous_system(self):
-        system = minimality_system([1, 1], [(3, 0), (0, 3)])
-        point = feasible(system)
-        scaled = integer_witness(point)
-        # scaling a solution keeps the homogeneous rows; the w >= 1 rows
-        # survive because clearing denominators never shrinks entries
-        assert all(
-            c.holds_at([Fraction(x) for x in scaled]) for c in system.constraints
-        )
 
 
 FRONT_34 = [

@@ -7,7 +7,6 @@ from beliefmerge import (
     AllPositiveWeights,
     DistanceKind,
     Instance,
-    Model,
     Universe,
     maxcons,
     maxcons_disjunction,

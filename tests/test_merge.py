@@ -30,7 +30,6 @@ from beliefmerge.errors import (
     InconsistentProfileError,
 )
 from beliefmerge.formulae import TRUE
-from beliefmerge.lp import integer_witness
 from beliefmerge.maxcons import maxcons_disjunction
 from beliefmerge import _kernels, merge as merge_module
 from beliefmerge.merge import (
@@ -41,7 +40,7 @@ from beliefmerge.merge import (
     _screen_vectors,
     distinct_front,
 )
-from beliefmerge.weights import expand_scheme, parse_scheme
+from beliefmerge.weights import expand_scheme, integer_witness, parse_scheme
 
 from oracles import (
     brute_merge_fixed,
@@ -441,8 +440,8 @@ class TestRowGeneration:
         self.exclusions = []
         pairs_of = merge_module._midpoint_pairs
 
-        def recorded(front_rows, asked, bound):
-            pairs = pairs_of(front_rows, asked, bound)
+        def recorded(front_rows, asked):
+            pairs = pairs_of(front_rows, asked)
             values = front_rows.tolist()
             self.exclusions.extend(
                 (values[i], values[a], values[b])
@@ -502,11 +501,27 @@ class TestRowGeneration:
         assert self.exclusions
 
     def test_doubled_rows_past_two_to_the_63(self):
-        # 2d passes int64: the midpoint of a and b is checked in Python ints
+        # 2d passes int64; the differences d - a and b - d do not
         big = 2**62
         matrix = np.array([[big, big + 3], [big + 3, big], [big + 2, big + 2]], dtype=np.int64)
         self._check(matrix)
         assert self.exclusions == [([big + 2] * 2, [big, big + 3], [big + 3, big])]
+
+    def test_nearest_rows_past_two_to_the_63(self):
+        # L1 distances to the last row pass 2^63: the seed order is exact
+        big = 2**63 - 1
+        self._check(
+            np.array([[1, 1, 3], [1, 2, 1], [3, 1, 2], [3, 2, 0], [big, 0, 1]], dtype=np.int64)
+        )
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_entries_up_to_two_to_the_63(self, m):
+        entries = [0, 1, 2, 3, 2**62, 2**63 - 1]
+        rng = Xoshiro256StarStar(m)
+        for _ in range(40):
+            rows = 2 + rng.below(11)
+            values = [[entries[rng.below(len(entries))] for _ in range(m)] for _ in range(rows)]
+            self._check(np.array(values, dtype=np.int64))
 
     def test_front_of_at_most_m_plus_one_rows(self):
         # the select screen decides it; any LP would hold every other front row
@@ -564,18 +579,18 @@ class TestScreens:
 
     def test_a_midpoint_equal_to_the_row_does_not_exclude_it(self):
         front = np.array([[0, 4], [4, 0], [2, 2], [1, 3]], dtype=np.int64)
-        assert _midpoint_pairs(front, np.array([2, 3]), 4).tolist() == [[-1, -1], [-1, -1]]
+        assert _midpoint_pairs(front, np.array([2, 3])).tolist() == [[-1, -1], [-1, -1]]
         front = np.array([[0, 4], [4, 0], [3, 3]], dtype=np.int64)
-        assert _midpoint_pairs(front, np.array([2]), 4).tolist() == [[0, 1]]
+        assert _midpoint_pairs(front, np.array([2])).tolist() == [[0, 1]]
 
     def test_pairs_in_small_blocks(self, monkeypatch):
         front = _antichain(Xoshiro256StarStar(1), 4, 6, 12, 40)
         asked = np.arange(len(front))
-        want = _midpoint_pairs(front, asked, 6)
+        want = _midpoint_pairs(front, asked)
         monkeypatch.setattr(_kernels, "CELLS", 1)
-        assert np.array_equal(_midpoint_pairs(front, asked, 6), want)
-        # a bound whose double reaches 2^63 finds the same pairs in Python ints
-        assert np.array_equal(_midpoint_pairs(front, asked, 2**62), want)
+        assert np.array_equal(_midpoint_pairs(front, asked), want)
+        # shifted by 2^62, so that doubled rows pass 2^63: the same pairs
+        assert np.array_equal(_midpoint_pairs(front + 2**62, asked), want)
         assert (want[:, 0] >= 0).any()
 
     @pytest.mark.parametrize("m", range(1, 9))

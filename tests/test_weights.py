@@ -17,12 +17,12 @@ from beliefmerge import (
 )
 from beliefmerge.weights import (
     _weight,
-    as_weight_vector,
+    integer_witness,
     parse_scheme,
     scheme_to_text,
 )
 
-from oracles import brute_score, dominates, strictly_dominates
+from oracles import brute_score, dominates, feasible, minimality_system, strictly_dominates
 
 DH = DistanceKind.hamming()
 
@@ -72,7 +72,7 @@ class TestDominance:
 
     def test_scaling_preserves_argmin(self):
         vectors = [(3, 0), (1, 1), (0, 3), (2, 2)]
-        w = as_weight_vector([2, 3])
+        w = (2, 3)
         for c in (Fraction(1, 7), 2, Fraction(13, 5)):
             scaled = [wi * c for wi in w]
             before = min(range(4), key=lambda i: brute_score(w, vectors[i]))
@@ -83,10 +83,10 @@ class TestDominance:
 class TestSchemes:
     def test_expert_three_for_two_sources(self):
         got = expand_scheme(ExpertWeights(3), 4, 2)
-        assert got == [as_weight_vector([3, 1]), as_weight_vector([1, 3])]
+        assert got == [(3, 1), (1, 3)]
 
     def test_equal_is_all_ones(self):
-        assert expand_scheme(EqualWeights(), 4, 4) == [as_weight_vector([1, 1, 1, 1])]
+        assert expand_scheme(EqualWeights(), 4, 4) == [(1, 1, 1, 1)]
 
     def test_explicit_passes_through(self):
         scheme = ExplicitWeights([[5, 2], [2, 5]])
@@ -104,7 +104,7 @@ class TestSchemes:
     def test_expert_without_value_takes_the_default(self):
         for kind, a in ((DH, 4 * 2 + 1), (DistanceKind.drastic(), 2 + 1)):
             got = expand_scheme(ExpertWeights(), kind.largest(4), 2)
-            assert got == [as_weight_vector([a, 1]), as_weight_vector([1, a])]
+            assert got == [(a, 1), (1, a)]
 
     def test_expert_minimum(self):
         with pytest.raises(ValueError):
@@ -193,6 +193,72 @@ class TestSchemeSyntax:
         (vector,) = parse_scheme("list:2, +3,1/2,4/2,1.5,1e1").vectors
         assert vector == (2, 3, Fraction(1, 2), 2, Fraction(3, 2), 10)
         assert [type(w) for w in vector] == [int, int, Fraction, int, Fraction, int]
+
+
+class TestIntegerWitness:
+    def test_clears_denominators(self):
+        assert integer_witness([Fraction(1, 2), Fraction(3, 2)]) == (1, 3)
+
+    def test_identity_on_integers(self):
+        assert integer_witness([Fraction(2), Fraction(4)]) == (2, 4)
+
+    def test_rejects_non_positive(self):
+        # the scheme checks each sign once; its vectors reach integer_witness
+        for bad in (0, -1):
+            with pytest.raises(ValueError) as info:
+                ExplicitWeights([[Fraction(1), Fraction(bad)]])
+            assert str(info.value) == f"weights must be strictly positive, got {bad}"
+
+    def test_integerized_witness_still_solves_homogeneous_system(self):
+        system = minimality_system([1, 1], [(3, 0), (0, 3)])
+        point = feasible(system)
+        scaled = integer_witness(point)
+        # scaling a solution keeps the homogeneous rows; the w >= 1 rows
+        # survive because clearing denominators never shrinks entries
+        assert all(
+            c.holds_at([Fraction(x) for x in scaled]) for c in system.constraints
+        )
+
+
+# each malformed weight list with the exact error it raises
+SCHEME_ERRORS = [
+    ("empty_list", ExplicitWeights, ([],), "explicit scheme must list at least one vector"),
+    ("empty_vector", ExplicitWeights, ([[]],), "weight vector must be non-empty"),
+    ("mixed_lengths", ExplicitWeights, ([[1, 2], [1]],),
+     "explicit scheme vectors must share one length"),
+    ("sign_before_length", ExplicitWeights, ([[1, -1], [1]],),
+     "weights must be strictly positive, got -1"),
+    ("zero", ExplicitWeights, ([[1, 0]],), "weights must be strictly positive, got 0"),
+    ("negative", ExplicitWeights, ([[-2, 1]],), "weights must be strictly positive, got -2"),
+    ("negative_rational", ExplicitWeights, ([[Fraction(-1, 2)]],),
+     "weights must be strictly positive, got -1/2"),
+    ("list_zero", parse_scheme, ("list:0",), "weights must be strictly positive, got 0"),
+    ("list_negative", parse_scheme, ("list:1,-1;1",), "weights must be strictly positive, got -1"),
+    ("list_mixed_lengths", parse_scheme, ("list:1,2;3",),
+     "explicit scheme vectors must share one length"),
+    ("list_zero_denominator", parse_scheme, ("list:1/0",),
+     "zero denominator in weight scheme 'list:1/0'"),
+    ("list_not_a_number", parse_scheme, ("list:abc",), "Invalid literal for Fraction: 'abc'"),
+    # every token is read before any sign is checked
+    ("list_token_before_sign", parse_scheme, ("list:0;abc",),
+     "Invalid literal for Fraction: 'abc'"),
+    ("list_denominator_before_sign", parse_scheme, ("list:0;1/0",),
+     "zero denominator in weight scheme 'list:0;1/0'"),
+    ("length_not_m", expand_scheme, (ExplicitWeights([[1, 2]]), 4, 3),
+     "scheme vector length 2 != profile length 3"),
+    ("no_sources", expand_scheme, (ExplicitWeights([[1, 2]]), 4, 0),
+     "profile length must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, message", [case[1:] for case in SCHEME_ERRORS],
+    ids=[case[0] for case in SCHEME_ERRORS],
+)
+def test_scheme_error_messages(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
 
 
 # tokens built from the pieces int and Fraction each accept or reject
