@@ -5,12 +5,10 @@ from .formulae import (
     Formula,
     Model,
     Universe,
-    formula_from_models,
     formula_to_text,
-    models_of,
     parse_formula,
 )
-from .geometry2d import algorithm1, critical_weight_set, visible_hull
+from .geometry2d import visible_hull
 from .instancegen import random_instance, realize, replicated_blocks
 from .maxcons import maxcons, maxcons_disjunction
 from .merge import (
@@ -53,21 +51,17 @@ __all__ = [
     "OperatorConfig",
     "Universe",
     "Verdict",
-    "algorithm1",
     "check_arbitration_duplicate",
     "check_disjunctive",
     "check_majority",
     "check_postulate",
     "closest_pairs_merge",
-    "critical_weight_set",
     "excluding_subset",
     "expand_scheme",
-    "formula_from_models",
     "formula_to_text",
     "maxcons",
     "maxcons_disjunction",
     "merge_scheme",
-    "models_of",
     "multi_source_merge",
     "parse_formula",
     "random_instance",

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     EnumerationLimitError,
     FormulaSyntaxError,
-    UniverseMismatchError,
     UnknownVariableError,
 )
 
@@ -304,11 +303,6 @@ def table_bits(table: np.ndarray) -> np.ndarray:
     return np.flatnonzero(table).astype(np.int64, copy=False)
 
 
-def models_of(f: Formula, universe: Universe) -> tuple[Model, ...]:
-    """All satisfying assignments, in lexicographic bit order."""
-    return tuple(Model(universe, int(b)) for b in table_bits(truth_table(f, universe)))
-
-
 def satisfiable(f: Formula, universe: Universe) -> bool:
     return bool(truth_table(f, universe).any())
 
@@ -330,20 +324,6 @@ def model_from_literals(literals: Iterable[str], universe: Universe) -> Model:
         if values[name]:
             bits |= 1 << (universe.n - 1 - j)
     return Model(universe, bits)
-
-
-def formula_from_models(models: Iterable[Model], universe: Universe) -> Formula:
-    """Formula whose model set is exactly the given one (full-term disjunction)."""
-    terms = []
-    for m in sorted(models, key=lambda x: x.bits):
-        if m.universe != universe:
-            raise UniverseMismatchError("model belongs to a different universe")
-        lits = []
-        for j, name in enumerate(universe.variables):
-            positive = (m.bits >> (universe.n - 1 - j)) & 1
-            lits.append(Var(name) if positive else Not(Var(name)))
-        terms.append(conjunction(lits))
-    return disjunction(terms)
 
 
 # --- concrete syntax ------------------------------------------------------

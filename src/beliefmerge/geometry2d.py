@@ -1,4 +1,5 @@
-"""Exact 2-D geometry of two-formula merging.
+"""Exact 2-D geometry of two-formula merging: the visible chain and its
+SVG plot.
 
 Each mu model becomes the point of its distance vector. Merging with
 all positive weights selects the part of the point set's lower-left
@@ -10,15 +11,11 @@ anywhere.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distance import DistanceKind
-from .formulae import Model
-from .merge import Instance, distinct_front
+from .merge import distinct_front
 
 Point2 = tuple[int, int]
 
@@ -48,75 +45,6 @@ def visible_hull(points: Iterable[Point2]) -> set[Point2]:
     return set(chain)
 
 
-def _excludes(p: Point2, j: Point2, k: Point2) -> bool:
-    """Whether the mutually undominated pair (j, k) leaves p minimal for
-    no positive weights: p strictly inside the pair's band and strictly
-    cut from the origin by the line through j and k. The cut is a strict
-    sign test: a point on the line, or a line through the origin, cuts
-    nothing."""
-    if j[0] > k[0]:
-        j, k = k, j
-    if not (p[0] > j[0] and p[1] > k[1]):
-        return False
-    return _cross(j, k, p) * _cross(j, k, (0, 0)) < 0
-
-
-def algorithm1(inst: Instance, kind: DistanceKind) -> frozenset[Model]:
-    """Two-formula merge by progressive exclusion.
-
-    First removes the strictly dominated models (one pass suffices:
-    strict dominance is transitive, so a front vector dominates every
-    dominated one), then removes every model excluded by some pair of
-    the remaining ones. One pass over the pairs suffices too: whether a
-    pair excludes a point depends only on the three points, and a second
-    pass would only see a subset of the first pass's pairs. Both passes
-    run on the distinct rows of the instance's distance matrix; each
-    verdict then reaches the mu models through the dedupe's inverse. The
-    survivors are exactly the all-positive-weights merge (cross-checked
-    against the LP route in the test suite).
-    """
-    if inst.m != 2:
-        raise ValueError("the geometric algorithm applies to two-formula profiles only")
-    rows, _, inverse, front = distinct_front(inst.distances(kind))
-    points = list(map(tuple, rows[front].tolist()))
-    pairs = list(combinations(points, 2))
-    keep = np.zeros(len(rows), dtype=bool)
-    keep[front] = [
-        not any(p not in (j, k) and _excludes(p, j, k) for j, k in pairs)
-        for p in points
-    ]
-    return frozenset(inst._models_at(np.flatnonzero(keep[inverse])))
-
-
-def critical_weight_set(points: Iterable[Point2]) -> list[tuple[int, ...]]:
-    """A finite weight set whose merge equals the all-positive merge.
-
-    One vector per mutually undominated pair (the normal of the line
-    through the two points, reduced to coprime positive integers), plus
-    the two near-axis vectors [1, K] and [K, 1] covering the extreme
-    slopes. Argmin sets change only at pair normals, so sampling every
-    normal plus the two extremes reaches every selectable point.
-    """
-    pts = sorted(set(points))
-    if not pts:
-        raise ValueError("empty point set")
-    out: dict[tuple[int, ...], None] = {}
-    big = 1 + 2 * max(max(x, y) for x, y in pts)
-    out[(1, big)] = None
-    out[(big, 1)] = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            p, q = pts[i], pts[j]
-            w1 = q[1] - p[1]
-            w2 = p[0] - q[0]
-            if w1 == 0 or w2 == 0 or (w1 > 0) != (w2 > 0):
-                continue  # one point dominates the other
-            w1, w2 = abs(w1), abs(w2)
-            g = gcd(w1, w2)
-            out[(w1 // g, w2 // g)] = None
-    return list(out)
-
-
 def render_svg(
     points: Sequence[Point2],
     selected: Iterable[Point2],
@@ -131,13 +59,14 @@ def render_svg(
     margin = 40
     span = 600 - 2 * margin
     top = max(1, max(max(x, y) for x, y in pts))
-    unit = span // top if top <= span else 1
+    # whole pixels per unit up to span, else scaled down to fit the canvas
+    unit, over = (span // top, 1) if top <= span else (span, top)
 
     def sx(x: int) -> int:
-        return margin + x * unit
+        return margin + x * unit // over
 
     def sy(y: int) -> int:
-        return 600 - margin - y * unit
+        return 600 - margin - y * unit // over
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 600 600">',

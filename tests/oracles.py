@@ -34,6 +34,15 @@ denominators cleared) the reference for lp.decide's gcd-reduced witness.
 for the stack-based parser and printer, and ``recursive_gcd_one_vectors``
 (one level of recursion per part of a composition) the reference for the
 select screen's cut-point generator.
+
+The paper's two-formula algorithms are the 2-D references for the
+all-weights merge at m = 2: ``algorithm1`` (progressive exclusion, where
+``_excludes`` cuts a point by a pair of front points) decides the
+selected models, and ``critical_weight_set`` (one normal per pair of
+points plus two near-axis vectors) gives a finite weight list whose
+explicit-weights merge equals it. ``models_of`` (the models of a formula)
+and ``formula_from_models`` (the full-term disjunction of a model set)
+are the model-list helpers tests build expectations and profiles with.
 """
 
 import importlib.util
@@ -49,8 +58,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from beliefmerge import DistanceKind, Model, Universe, _kernels, lp, models_of
-from beliefmerge.errors import FormulaSyntaxError
+from beliefmerge import DistanceKind, Model, Universe, _kernels, lp
+from beliefmerge.errors import FormulaSyntaxError, UniverseMismatchError
 from beliefmerge.formulae import (
     FALSE,
     TRUE,
@@ -62,6 +71,10 @@ from beliefmerge.formulae import (
     Not,
     Or,
     Var,
+    conjunction,
+    disjunction,
+    table_bits,
+    truth_table,
 )
 from beliefmerge.merge import _scores, distinct_front
 from beliefmerge.weights import scheme_to_text
@@ -113,6 +126,25 @@ def recursive_truth_table(f: Formula, universe: Universe) -> np.ndarray:
         raise TypeError(f"not a formula node: {g!r}")
 
     return rec(f)
+
+
+def models_of(f: Formula, universe: Universe) -> tuple[Model, ...]:
+    """All satisfying assignments, in lexicographic bit order."""
+    return tuple(Model(universe, int(b)) for b in table_bits(truth_table(f, universe)))
+
+
+def formula_from_models(models, universe: Universe) -> Formula:
+    """Formula whose model set is exactly the given one (full-term disjunction)."""
+    terms = []
+    for m in sorted(models, key=lambda x: x.bits):
+        if m.universe != universe:
+            raise UniverseMismatchError("model belongs to a different universe")
+        lits = []
+        for j, name in enumerate(universe.variables):
+            positive = (m.bits >> (universe.n - 1 - j)) & 1
+            lits.append(Var(name) if positive else Not(Var(name)))
+        terms.append(conjunction(lits))
+    return disjunction(terms)
 
 
 def subsat(i: Model, profile) -> frozenset[int]:
@@ -428,12 +460,14 @@ def row_generation_merge(matrix: np.ndarray):
     m most violated join the active set and the LP runs again. A witness
     that passes selects every undecided front row tying d's score, so
     those rows are never asked. The L1 order is sorted for a block of
-    the next undecided rows at once, _NEAREST_CELLS // |front| of them.
+    the next undecided rows at once, _NEAREST_CELLS // |front| of them,
+    and summed by _scores, in Python ints where int64 could wrap.
     """
     rows, _, inverse, front = distinct_front(matrix)
     on_front = np.flatnonzero(front)
     front_rows = rows[on_front]
     m = front_rows.shape[1]
+    bound = int(front_rows.max())
     weights = []
     slot = np.full(len(rows), -1, dtype=np.intp)  # distinct row -> its witness
     undecided = np.ones(len(front_rows), dtype=bool)
@@ -443,7 +477,8 @@ def row_generation_merge(matrix: np.ndarray):
             continue
         if i not in nearest:  # i is past the last block: order the next one
             block = np.flatnonzero(undecided)[: max(1, _NEAREST_CELLS // len(front_rows))]
-            l1 = np.abs(front_rows[block, None, :] - front_rows[None, :, :]).sum(axis=2)
+            gaps = np.abs(front_rows[block, None, :] - front_rows[None, :, :]).reshape(-1, m)
+            l1 = _scores(gaps, [(1,) * m], bound)[0].reshape(len(block), -1)
             nearest = dict(zip(block.tolist(), np.argsort(l1, axis=1, kind="stable")))
         undecided[i] = False
         order = nearest[i]
@@ -452,7 +487,7 @@ def row_generation_merge(matrix: np.ndarray):
             w = lp.decide(d, front_rows[active].tolist())[0]
             if w is None:
                 break
-            scores = _scores(front_rows, [w], int(front_rows.max()))[0]
+            scores = _scores(front_rows, [w], bound)[0]
             violated = np.flatnonzero(scores < scores[i])
             if len(violated) == 0:
                 break
@@ -577,6 +612,80 @@ def mu_models(inst) -> tuple[Model, ...]:
     if inst not in _MU_MODELS:
         _MU_MODELS[inst] = tuple(Model(inst.universe, b) for b in inst.mu_bits.tolist())
     return _MU_MODELS[inst]
+
+
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _excludes(p, j, k) -> bool:
+    """Whether the mutually undominated pair (j, k) leaves p minimal for
+    no positive weights: p strictly inside the pair's band and strictly
+    cut from the origin by the line through j and k. The cut is a strict
+    sign test: a point on the line, or a line through the origin, cuts
+    nothing."""
+    if j[0] > k[0]:
+        j, k = k, j
+    if not (p[0] > j[0] and p[1] > k[1]):
+        return False
+    return _cross(j, k, p) * _cross(j, k, (0, 0)) < 0
+
+
+def algorithm1(inst, kind: DistanceKind) -> frozenset[Model]:
+    """Two-formula merge by progressive exclusion.
+
+    First removes the strictly dominated models (one pass suffices:
+    strict dominance is transitive, so a front vector dominates every
+    dominated one), then removes every model excluded by some pair of
+    the remaining ones. One pass over the pairs suffices too: whether a
+    pair excludes a point depends only on the three points, and a second
+    pass would only see a subset of the first pass's pairs. Both passes
+    run on the distinct rows of the instance's distance matrix; each
+    verdict then reaches the mu models through the dedupe's inverse. The
+    survivors are exactly the all-positive-weights merge.
+    """
+    if inst.m != 2:
+        raise ValueError("the geometric algorithm applies to two-formula profiles only")
+    rows, _, inverse, front = distinct_front(inst.distances(kind))
+    points = list(map(tuple, rows[front].tolist()))
+    pairs = list(combinations(points, 2))
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[front] = [
+        not any(p not in (j, k) and _excludes(p, j, k) for j, k in pairs)
+        for p in points
+    ]
+    models = mu_models(inst)
+    return frozenset(models[r] for r in np.flatnonzero(keep[inverse]).tolist())
+
+
+def critical_weight_set(points) -> list[tuple[int, ...]]:
+    """A finite weight set whose merge equals the all-positive merge of
+    two-formula distance points.
+
+    One vector per mutually undominated pair (the normal of the line
+    through the two points, reduced to coprime positive integers), plus
+    the two near-axis vectors [1, K] and [K, 1] covering the extreme
+    slopes. Argmin sets change only at pair normals, so sampling every
+    normal plus the two extremes reaches every selectable point.
+    """
+    pts = sorted(set(points))
+    if not pts:
+        raise ValueError("empty point set")
+    out: dict[tuple[int, ...], None] = {}
+    big = 1 + 2 * max(max(x, y) for x, y in pts)
+    out[(1, big)] = None
+    out[(big, 1)] = None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            p, q = pts[i], pts[j]
+            w1 = q[1] - p[1]
+            w2 = p[0] - q[0]
+            if w1 == 0 or w2 == 0 or (w1 > 0) != (w2 > 0):
+                continue  # one point dominates the other
+            w1, w2 = abs(w1), abs(w2)
+            g = gcd(w1, w2)
+            out[(w1 // g, w2 // g)] = None
+    return list(out)
 
 
 def perfbench_inputs():

@@ -20,13 +20,11 @@ from beliefmerge import (
     Model,
     OperatorConfig,
     Universe,
-    algorithm1,
     check_arbitration_duplicate,
     check_disjunctive,
     check_majority,
     check_postulate,
     closest_pairs_merge,
-    critical_weight_set,
     excluding_subset,
     maxcons_disjunction,
     merge_scheme,
@@ -44,15 +42,23 @@ from beliefmerge.distance import distance_matrix
 from beliefmerge.formulae import (
     TRUE,
     Or,
-    formula_from_models,
-    models_of,
     table_and_support,
     truth_table,
 )
 from beliefmerge.maxcons import maxcons_disjunction as _disj
 from beliefmerge.merge import Instance as _Instance
 
-from oracles import LinConstraint, LinSystem, feasible, minimality_system, mu_models
+from oracles import (
+    LinConstraint,
+    LinSystem,
+    algorithm1,
+    critical_weight_set,
+    feasible,
+    formula_from_models,
+    minimality_system,
+    models_of,
+    mu_models,
+)
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()

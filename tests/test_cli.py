@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -474,6 +475,23 @@ class TestPlotAndClosestPairs:
         run(capsys, "plot", "--instance", intro_file, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().count("<circle") == 3
+
+    def test_plot_fits_large_distances_on_the_canvas(self, capsys, tmp_path):
+        # the largest distance, 1000, is past the 520-pixel span
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "variables": ["x", "y"],
+            "constraints": "true",
+            "profile": ["x & y", "!x & !y"],
+            "distance": {"table": [[0, 0], [1, 700]], "default": 1000},
+        }))
+        out = tmp_path / "plot.svg"
+        code, _, _ = run(capsys, "plot", "--instance", str(path), "--out", str(out))
+        assert code == 0
+        text = out.read_text()
+        coords = [int(v) for v in re.findall(r'c[xy]="(-?\d+)"', text)]
+        assert len(coords) == 2 * text.count("<circle") == 6
+        assert all(40 <= v <= 560 for v in coords)
 
     def test_closest_pairs(self, capsys, tmp_path):
         path = tmp_path / "cp.json"

@@ -6,7 +6,6 @@ from beliefmerge import (
     Instance,
     Model,
     Universe,
-    models_of,
     parse_formula,
     random_instance,
     realize,
@@ -25,6 +24,7 @@ from oracles import (
     brute_vector,
     dominates,
     evaluate,
+    models_of,
     mu_models,
     subsat,
 )

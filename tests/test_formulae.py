@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefmerge import Model, Universe, formula_to_text, models_of, parse_formula
+from beliefmerge import Model, Universe, formula_to_text, parse_formula
 from beliefmerge.errors import (
     EnumerationLimitError,
     FormulaSyntaxError,
@@ -21,7 +21,6 @@ from beliefmerge.formulae import (
     Not,
     Or,
     Var,
-    formula_from_models,
     model_from_literals,
     table_and_support,
     truth_table,
@@ -29,6 +28,8 @@ from beliefmerge.formulae import (
 
 from oracles import (
     evaluate,
+    formula_from_models,
+    models_of,
     recursive_formula_to_text,
     recursive_parse,
     recursive_truth_table,

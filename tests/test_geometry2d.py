@@ -4,17 +4,22 @@ from beliefmerge import (
     AllPositiveWeights,
     DistanceKind,
     ExplicitWeights,
-    algorithm1,
-    critical_weight_set,
     merge_scheme,
     random_instance,
     realize,
     visible_hull,
 )
 from beliefmerge._rng import Xoshiro256StarStar
-from beliefmerge.geometry2d import _excludes, render_svg
+from beliefmerge.geometry2d import render_svg
 
-from oracles import feasible, minimality_system, mu_models
+from oracles import (
+    _excludes,
+    algorithm1,
+    critical_weight_set,
+    feasible,
+    minimality_system,
+    mu_models,
+)
 
 DH = DistanceKind.hamming()
 
@@ -146,6 +151,20 @@ class TestRenderSvg:
         out = tmp_path / "plot.svg"
         render_svg(self.POINTS, set(), str(out))
         assert 'fill="black"' not in out.read_text()
+
+    def test_pinned_bytes(self, tmp_path):
+        out = tmp_path / "plot.svg"
+        render_svg(self.POINTS, {(3, 0), (0, 3)}, str(out))
+        assert out.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 600 600">\n'
+            '<line x1="40" y1="560" x2="560" y2="560" stroke="black"/>\n'
+            '<line x1="40" y1="560" x2="40" y2="40" stroke="black"/>\n'
+            '<polyline points="40,41 559,560" fill="none" stroke="gray"/>\n'
+            '<circle cx="40" cy="41" r="8" fill="black" stroke="black"/>\n'
+            '<circle cx="386" cy="214" r="8" fill="white" stroke="black"/>\n'
+            '<circle cx="559" cy="560" r="8" fill="black" stroke="black"/>\n'
+            "</svg>\n"
+        )
 
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

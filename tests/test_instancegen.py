@@ -7,7 +7,6 @@ from beliefmerge import (
     DistanceKind,
     formula_to_text,
     merge_scheme,
-    models_of,
     random_instance,
     realize,
     replicated_blocks,
@@ -24,6 +23,7 @@ from oracles import (
     evaluate,
     feasible,
     minimality_system,
+    models_of,
     mu_models,
 )
 

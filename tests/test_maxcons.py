@@ -11,7 +11,6 @@ from beliefmerge import (
     maxcons,
     maxcons_disjunction,
     merge_scheme,
-    models_of,
     parse_formula,
     random_instance,
     realize,
@@ -20,6 +19,7 @@ from beliefmerge.formulae import TRUE, conjunction
 
 from oracles import (
     brute_maxcons,
+    models_of,
     mu_models,
     subsat,
     subset_maxcons,

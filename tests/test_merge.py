@@ -16,7 +16,6 @@ from beliefmerge import (
     Universe,
     excluding_subset,
     merge_scheme,
-    models_of,
     multi_source_merge,
     parse_formula,
     random_instance,
@@ -49,6 +48,7 @@ from oracles import (
     feasible,
     full_row_lp_merge,
     minimality_system,
+    models_of,
     mu_models,
     perfbench_inputs,
     recursive_gcd_one_vectors,
@@ -457,13 +457,15 @@ class TestRowGeneration:
         rows, weights, witness_index = _all_positive(matrix)
         _check_spread(matrix, rows, weights, witness_index)
         assert rows.tolist() == sorted(full_row_lp_merge(matrix))
-        assert rows.tolist() == row_generation_merge(matrix)[0].tolist()
+        generated = row_generation_merge(matrix)
+        assert rows.tolist() == generated[0].tolist()
         values = matrix.tolist()
-        for row, j in zip(rows.tolist(), witness_index.tolist()):
-            w = weights[j]
-            assert min(w) > 0
-            scores = [sum(a * b for a, b in zip(v, w)) for v in values]
-            assert scores[row] == min(scores)
+        for chosen, ws, index in [(rows, weights, witness_index), generated]:
+            for row, j in zip(chosen.tolist(), index.tolist()):
+                w = ws[j]
+                assert min(w) > 0
+                scores = [sum(a * b for a, b in zip(v, w)) for v in values]
+                assert scores[row] == min(scores)
         selected = {tuple(v) for v in matrix[rows].tolist()}
         for d, a, b in self.exclusions[start:]:
             gap = [2 * x - y - z for x, y, z in zip(d, a, b)]

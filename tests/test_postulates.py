@@ -18,14 +18,13 @@ from beliefmerge import (
     check_postulate,
     closest_pairs_merge,
     merge_scheme,
-    models_of,
     parse_formula,
     random_instance,
     realize,
 )
 from beliefmerge._rng import Xoshiro256StarStar
 from beliefmerge.errors import InconsistentConstraintsError, InconsistentProfileError
-from beliefmerge.formulae import TRUE, And, Or, formula_from_models
+from beliefmerge.formulae import TRUE, And, Or
 from beliefmerge.postulates import (
     check_ic0,
     check_ic4,
@@ -36,7 +35,14 @@ from beliefmerge.postulates import (
     product_scheme,
 )
 
-from oracles import brute_closest_pairs, brute_score, evaluate, mu_models
+from oracles import (
+    brute_closest_pairs,
+    brute_score,
+    evaluate,
+    formula_from_models,
+    models_of,
+    mu_models,
+)
 
 DD = DistanceKind.drastic()
 DH = DistanceKind.hamming()
